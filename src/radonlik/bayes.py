@@ -187,9 +187,6 @@ class PredictiveMeasure:
     def zero_set(self, points: Sequence) -> tuple:
         return tuple(x for x in points if self.marginal(x) <= ZERO_SET_EPS)
 
-    def as_dominating_measure(self, id: str = "predictive") -> DominatingMeasure:
-        return DominatingMeasure.predictive(id, base_id=self.base.id)
-
 
 def predictive_measure(family: ModelFamily, measure_id: str, prior: Prior,
                        base: DominatingMeasure) -> PredictiveMeasure:

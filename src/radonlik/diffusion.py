@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .likelihood import NEG_INF, ModelFamily, SampleSpace
+from .likelihood import NEG_INF, LogLikelihoodCurve, ModelFamily, SampleSpace, argmax_indices
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -403,10 +403,9 @@ def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
             loglik += math.log(est)
             loglik += math.log(lamperti_derivative(spec, obs.values[i + 1], theta))
         curve.append(loglik)
-    top = max(curve)
-    if top == NEG_INF:
-        raise ValueError("all grid points give zero estimated likelihood")
-    return frozenset(i for i, v in enumerate(curve) if v == top), curve
+    indices = argmax_indices(LogLikelihoodCurve("mc-observed-data", "obs", theta_grid,
+                                                tuple(curve)))
+    return indices, curve
 
 
 # -- catalog --------------------------------------------------------------------

@@ -180,7 +180,11 @@ def factorization_ratio_test(fam: ExponentialFamily, omega1, omega2, tol: float 
 
 
 def iid_family(fam: ExponentialFamily, n: int) -> ExponentialFamily:
-    """n-fold i.i.d. extension: statistics add, carriers multiply."""
+    """n-fold i.i.d. extension: statistics add, carriers multiply.
+
+    The extension is a density against the n-fold product of `fam.base`;
+    it keeps `fam.base` as its base, which stands for that product.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -201,11 +205,10 @@ def iid_family(fam: ExponentialFamily, n: int) -> ExponentialFamily:
         logpart = lambda theta: n * fam.closed_form_logpart(theta)
     else:
         logpart = lambda theta: n * fam.log_partition(theta)
-    base = DominatingMeasure.product(f"{fam.base.id}^x{n}", (fam.base,) * n)
     return ExponentialFamily(name=f"{fam.name}-iid{n}", natural_param=fam.natural_param,
                              sufficient_stat=stat,
                              carrier=lambda sample: math.exp(log_carrier(sample)),
-                             base=base, theta_grid=fam.theta_grid,
+                             base=fam.base, theta_grid=fam.theta_grid,
                              closed_form_logpart=logpart, log_carrier_fn=log_carrier)
 
 

@@ -14,6 +14,11 @@ from pathlib import Path
 import jsonschema
 import yaml
 
+from ..diffusion import SDE_CATALOG
+from ..expfam import EXPFAM_CATALOG
+from ..mixture import COMPONENT_CATALOG
+from ..poisson import INTENSITY_CATALOG
+
 
 class ConfigError(Exception):
     """Invalid configuration; the message carries the offending path."""
@@ -93,7 +98,7 @@ CONFIG_SCHEMA = {
         "mixture": {
             "type": "object",
             "properties": {
-                "component": {"enum": ["exponential", "uniform", "gaussian-truncated"]},
+                "component": {"enum": list(COMPONENT_CATALOG)},
                 "atom": {"type": "number"},
                 "p_true": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "n_samples": {"type": "integer", "minimum": 1},
@@ -106,7 +111,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "families": {
                     "type": "array",
-                    "items": {"enum": ["bernoulli", "poisson", "gaussian"]},
+                    "items": {"enum": list(EXPFAM_CATALOG)},
                     "minItems": 1,
                 },
                 "sample_size": {"type": "integer", "minimum": 1},
@@ -116,7 +121,7 @@ CONFIG_SCHEMA = {
         "poisson": {
             "type": "object",
             "properties": {
-                "intensity": {"enum": ["constant", "loglinear", "sinusoidal"]},
+                "intensity": {"enum": list(INTENSITY_CATALOG)},
                 "region": {"type": "array", "items": {"type": "number"},
                            "minItems": 2, "maxItems": 2},
                 "patterns": {"type": "integer", "minimum": 1},
@@ -128,7 +133,7 @@ CONFIG_SCHEMA = {
         "diffusion": {
             "type": "object",
             "properties": {
-                "sde": {"enum": ["ou", "brownian-drift", "logistic"]},
+                "sde": {"enum": list(SDE_CATALOG)},
                 "mc_replicates": {"type": "integer", "minimum": 100},
                 "mc_step": {"type": "number", "exclusiveMinimum": 0},
                 "observations": {"type": ["string", "null"]},

@@ -1,9 +1,9 @@
 """Named experiment suites over the model modules.
 
 Each experiment builds randomized or catalog instances, runs the relevant
-checks against their oracles, and returns a Report; run_experiment writes
-report.json and curves.csv under the output directory. Results are pure
-functions of (config, seed).
+checks against their oracles, and returns a Report with the pair of curves
+it shows; run_experiment writes report.json and curves.csv from them under
+the output directory. Results are pure functions of (config, seed).
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from ..likelihood import (LogLikelihoodCurve, ModelFamily, argmax_invariance,
 from .config import ConfigError, grid_from_spec
 from .mcem import mcem_missing_data
 from .reporting import Report, emit_curves, write_report_json
+
+# The pair of curves an experiment hands to curves.csv.
+Curves = tuple[LogLikelihoodCurve, LogLikelihoodCurve]
 
 # Fixed stream tags so every experiment draws from its own substream family.
 _STREAM = {
@@ -48,7 +51,8 @@ def _child_seed(rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 
 def _mixture_instance(rng: np.random.Generator, sample_size: int):
-    name = ["exponential", "uniform", "gaussian-truncated"][int(rng.integers(0, 3))]
+    names = list(mixture.COMPONENT_CATALOG)
+    name = names[int(rng.integers(0, len(names)))]
     comp = mixture.COMPONENT_CATALOG[name]()
     atom = 0.5 if name == "uniform" else 0.0
     count = int(rng.integers(9, 22))
@@ -102,23 +106,16 @@ def _poisson_instance(rng: np.random.Generator):
     count = int(rng.integers(8, 14))
     region = ((0.0, float(rng.uniform(0.8, 2.0))),)
     if which == 0:
-        grid = tuple(np.linspace(0.5, 8.0, count))
-        model = poisson.constant_intensity(grid, region)
-        theta_true = grid[int(rng.integers(0, count))]
-        bound = float(theta_true)
+        model = poisson.constant_intensity(np.linspace(0.5, 8.0, count), region)
     elif which == 1:
         b = float(rng.uniform(-1.0, 1.0))
-        grid = tuple((float(a), b) for a in np.linspace(-0.5, 1.5, count))
+        grid = [(float(a), b) for a in np.linspace(-0.5, 1.5, count)]
         model = poisson.loglinear_intensity(grid, region)
-        theta_true = grid[int(rng.integers(0, count))]
-        lo, hi = region[0]
-        bound = math.exp(theta_true[0] + max(theta_true[1] * lo, theta_true[1] * hi)) + 1e-9
     else:
-        grid = tuple(np.linspace(0.5, 6.0, count))
-        model = poisson.sinusoidal_intensity(grid, region)
-        theta_true = grid[int(rng.integers(0, count))]
-        bound = float(theta_true) * 1.5 + 1e-9
-    pattern = poisson.simulate_thinning(model, theta_true, bound, _child_seed(rng))
+        model = poisson.sinusoidal_intensity(np.linspace(0.5, 6.0, count), region)
+    theta_true = model.theta_grid[int(rng.integers(0, count))]
+    pattern = poisson.simulate_thinning(model, theta_true, model.max_rate(theta_true),
+                                        _child_seed(rng))
     family = poisson.pattern_model_family(model)
     c1 = likelihood_curve(family, poisson.MEASURE_PRODUCT, pattern)
     c2 = likelihood_curve(family, poisson.MEASURE_UNIT_POISSON, pattern)
@@ -150,7 +147,7 @@ def _diffusion_instance(rng: np.random.Generator):
     return c1, c2
 
 
-def run_proportionality(config: dict) -> Report:
+def run_proportionality(config: dict) -> tuple[Report, Curves]:
     seed, tol = config["seed"], config["tol"]
     cfg = config["proportionality"]
     instances, sample_size = cfg["instances"], cfg["sample_size"]
@@ -182,13 +179,12 @@ def run_proportionality(config: dict) -> Report:
         report.add(f"{name}-argmax-invariant", argmax_failures == 0,
                    instances=instances, failures=argmax_failures)
     report.metrics["curves_source"] = "first poisson instance"
-    report.metrics["_curves_pair"] = emitted
-    return report
+    return report, emitted
 
 
 # ---------------------------------------------------------------------------
 
-def run_mixture(config: dict) -> Report:
+def run_mixture(config: dict) -> tuple[Report, Curves]:
     seed, tol = config["seed"], config["tol"]
     cfg = config["mixture"]
     report = Report(experiment="mixture", seed=seed, tolerance=tol)
@@ -228,13 +224,12 @@ def run_mixture(config: dict) -> Report:
         mix = mixture.atom_weight_mixture(atom, comp, p)
         mass_err = max(mass_err, abs(mixture.mixture_total_mass(mix) - 1.0))
     report.add("normalization", mass_err <= 1e-6, worst_error=mass_err)
-    report.metrics["_curves_pair"] = (c_correct, c_naive)
-    return report
+    return report, (c_correct, c_naive)
 
 
 # ---------------------------------------------------------------------------
 
-def run_expfam(config: dict) -> Report:
+def run_expfam(config: dict) -> tuple[Report, Curves]:
     seed, tol = config["seed"], config["tol"]
     cfg = config["expfam"]
     report = Report(experiment="expfam", seed=seed, tolerance=tol)
@@ -305,13 +300,12 @@ def run_expfam(config: dict) -> Report:
                 emitted = (base_curve, other)
         report.add(f"{name}-base-changes-proportional", all_ok,
                    bases=len(iid_variants), worst_deviation=worst)
-    report.metrics["_curves_pair"] = emitted
-    return report
+    return report, emitted
 
 
 # ---------------------------------------------------------------------------
 
-def run_poisson(config: dict) -> Report:
+def run_poisson(config: dict) -> tuple[Report, Curves]:
     seed, tol = config["seed"], config["tol"]
     cfg = config["poisson"]
     report = Report(experiment="poisson", seed=seed, tolerance=tol)
@@ -342,13 +336,7 @@ def run_poisson(config: dict) -> Report:
     # thinning count distribution vs Poisson(Lambda)
     model = poisson.INTENSITY_CATALOG[cfg["intensity"]](grid, region)
     theta_gof = grid[len(grid) // 2]
-    if cfg["intensity"] == "constant":
-        bound = float(theta_gof)
-    elif cfg["intensity"] == "sinusoidal":
-        bound = float(theta_gof) * 1.5 + 1e-9
-    else:
-        lo, hi = region[0]
-        bound = math.exp(theta_gof[0] + max(theta_gof[1] * lo, theta_gof[1] * hi)) + 1e-9
+    bound = model.max_rate(theta_gof)
     rng = _rng(seed, _STREAM["poisson"], 10 ** 6)
     counts = np.array([poisson.simulate_thinning(model, theta_gof, bound, _child_seed(rng)).count
                        for _ in range(cfg["replicates"])])
@@ -370,8 +358,7 @@ def run_poisson(config: dict) -> Report:
         for theta in (grid[0], grid[-1]):
             norm_err = max(norm_err, abs(poisson.location_density_mass(model, theta, n) - 1.0))
     report.add("location-density-normalized", norm_err <= 1e-6, worst_error=norm_err)
-    report.metrics["_curves_pair"] = emitted
-    return report
+    return report, emitted
 
 
 def _poisson_count_gof(counts: np.ndarray, rate: float) -> float:
@@ -403,7 +390,7 @@ def _poisson_count_gof(counts: np.ndarray, rate: float) -> float:
 
 # ---------------------------------------------------------------------------
 
-def run_diffusion(config: dict) -> Report:
+def run_diffusion(config: dict) -> tuple[Report, Curves]:
     seed, tol = config["seed"], config["tol"]
     cfg = config["diffusion"]
     report = Report(experiment="diffusion", seed=seed, tolerance=tol)
@@ -466,8 +453,7 @@ def run_diffusion(config: dict) -> Report:
     value_f = diffusion.obs_bridge_log_density(ou, obs, _refine(coarse, 2), 1.0)
     report.add("trapezoid-refinement", abs(value_f - value_c) < 1e-4,
                change=abs(value_f - value_c))
-    report.metrics["_curves_pair"] = (c1, c2)
-    return report
+    return report, (c1, c2)
 
 
 def _refine(bridges: diffusion.BridgeSet, factor: int) -> diffusion.BridgeSet:
@@ -512,7 +498,7 @@ def _prior_ab(label: str) -> tuple[float, float]:
     return tuple(float(v) for v in label[5:-1].split(","))
 
 
-def run_bayes(config: dict) -> Report:
+def run_bayes(config: dict) -> tuple[Report, Curves]:
     seed, tol = config["seed"], config["tol"]
     cfg = config["bayes"]
     report = Report(experiment="bayes", seed=seed, tolerance=tol)
@@ -566,8 +552,7 @@ def run_bayes(config: dict) -> Report:
     x_emit = n // 2
     c1 = likelihood_curve(family, "counting", x_emit)
     c2 = likelihood_curve(family, "counting-x2", x_emit)
-    report.metrics["_curves_pair"] = (c1, c2)
-    return report
+    return report, (c1, c2)
 
 
 def _delta_family():
@@ -581,7 +566,7 @@ def _delta_family():
 
 # ---------------------------------------------------------------------------
 
-def run_mcem(config: dict) -> Report:
+def run_mcem(config: dict) -> tuple[Report, Curves]:
     seed, tol = config["seed"], config["tol"]
     cfg = config["mcem"]
     report = Report(experiment="mcem", seed=seed, tolerance=tol)
@@ -615,11 +600,10 @@ def run_mcem(config: dict) -> Report:
     c1 = LogLikelihoodCurve("lebesgue", "omega1", grid, base_vals)
     c2 = LogLikelihoodCurve("tilted-lebesgue", "omega1", grid,
                             tuple(v - margin for v in base_vals))
-    report.metrics["_curves_pair"] = (c1, c2)
     report.metrics["theta_lebesgue"] = result.theta_lebesgue
     report.metrics["theta_tilted"] = result.theta_tilted
     report.metrics["ks_distance"] = result.ks_distance
-    return report
+    return report, (c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +627,12 @@ def run_experiment(name: str, config: dict, out_dir=None) -> Report:
         raise ConfigError(f"unknown experiment {name!r}; choose from "
                           f"{sorted(EXPERIMENTS)} or 'all'")
     start = time.perf_counter()
-    report = EXPERIMENTS[name](config)
+    report, (curve1, curve2) = EXPERIMENTS[name](config)
     report.runtime_seconds = time.perf_counter() - start
     if out_dir is not None:
         target = Path(out_dir) / name
-        pair = report.metrics.pop("_curves_pair", None)
         write_report_json(report, target / "report.json")
-        if pair is not None:
-            emit_curves(pair[0], pair[1], target / "curves.csv")
-    else:
-        report.metrics.pop("_curves_pair", None)
+        emit_curves(curve1, curve2, target / "curves.csv")
     return report
 
 

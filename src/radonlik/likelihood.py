@@ -102,7 +102,11 @@ class ModelFamily:
 
 @dataclass(frozen=True)
 class LogLikelihoodCurve:
-    """Log-density over the parameter grid at one observation."""
+    """Log-density over the parameter grid at one observation.
+
+    Values are finite or -inf (a vanishing kernel); NaN and +inf are
+    rejected here, so no later comparison has to rank them.
+    """
 
     measure_id: str
     observation_id: str
@@ -112,6 +116,10 @@ class LogLikelihoodCurve:
     def __post_init__(self):
         if len(self.values) != len(self.thetas):
             raise ValueError("curve length must equal grid length")
+        for theta, v in zip(self.thetas, self.values):
+            if math.isnan(v) or v == math.inf:
+                raise ValueError(f"log-likelihood {v} at theta {theta!r} under "
+                                 f"{self.measure_id!r}: only finite values and -inf are allowed")
 
     def shifted(self, constant: float) -> "LogLikelihoodCurve":
         vals = tuple(v + constant if v != NEG_INF else NEG_INF for v in self.values)
@@ -167,7 +175,14 @@ def check_proportionality(curve1: LogLikelihoodCurve, curve2: LogLikelihoodCurve
 
 
 def argmax_indices(curve: LogLikelihoodCurve) -> frozenset[int]:
+    """Grid indices where the curve attains its maximum; ties give several.
+
+    Raises ValueError when every value is -inf: no grid point has positive
+    likelihood, so there is no maximiser to report.
+    """
     top = max(curve.values)
+    if top == NEG_INF:
+        raise ValueError(f"all grid points give zero likelihood under {curve.measure_id!r}")
     return frozenset(i for i, v in enumerate(curve.values) if v == top)
 
 

@@ -1,9 +1,10 @@
 """Named dominating measures, supports, and minimal dominating mixtures.
 
-A dominating measure is represented by its kind (counting atoms, Lebesgue on
-a region, their sum, or a symbolic infinite-dimensional law) together with
-enough payload to evaluate set masses where that is numerically meaningful:
-per-atom masses and closed-ball masses in dimension one.
+A dominating measure on the real line is counting measure on atoms, scaled
+Lebesgue measure on a region, or their sum. Each carries enough payload to
+evaluate per-atom masses and closed-ball masses. Measures on structured
+spaces (point patterns, paths, i.i.d. samples) are not represented here:
+their density kernels are keyed by plain string ids.
 """
 
 from __future__ import annotations
@@ -14,19 +15,7 @@ from dataclasses import dataclass, field
 from functools import singledispatch
 from typing import Sequence
 
-MEASURE_KINDS = (
-    "counting",
-    "lebesgue",
-    "counting_lebesgue_sum",
-    "product",
-    "unit_poisson_law",
-    "gaussian_bridge_product",
-    "predictive",
-)
-
-# Kinds that carry a numeric atom list / 1-D region and therefore support
-# ball-mass evaluation.
-_BALL_KINDS = ("counting", "lebesgue", "counting_lebesgue_sum")
+MEASURE_KINDS = ("counting", "lebesgue", "counting_lebesgue_sum")
 
 
 @dataclass(frozen=True)
@@ -47,11 +36,9 @@ class SupportDescriptor:
 
 @dataclass(frozen=True)
 class DominatingMeasure:
-    """A named base measure with kind-specific payload.
+    """A named base measure: weighted atoms, a scaled Lebesgue region, or both.
 
-    Only the discrete/1-D kinds evaluate masses; the infinite-dimensional
-    kinds (unit-rate Poisson law, Brownian-bridge product, predictive) act
-    as registered names that density kernels are keyed against.
+    Every kind evaluates atom masses and closed-ball masses.
     """
 
     id: str
@@ -60,10 +47,6 @@ class DominatingMeasure:
     atom_weights: tuple = ()
     region: tuple[float, float] | None = None
     lebesgue_scale: float = 1.0
-    dim: int = 1
-    parts: tuple = ()
-    times: tuple = ()
-    base_id: str | None = None
 
     def __post_init__(self):
         if self.kind not in MEASURE_KINDS:
@@ -91,8 +74,8 @@ class DominatingMeasure:
                    atom_weights=tuple(weights) if weights is not None else ())
 
     @classmethod
-    def lebesgue(cls, id: str, region: tuple[float, float], scale: float = 1.0, dim: int = 1):
-        return cls(id=id, kind="lebesgue", region=region, lebesgue_scale=scale, dim=dim)
+    def lebesgue(cls, id: str, region: tuple[float, float], scale: float = 1.0):
+        return cls(id=id, kind="lebesgue", region=region, lebesgue_scale=scale)
 
     @classmethod
     def counting_lebesgue_sum(cls, id: str, atoms: Sequence, region: tuple[float, float],
@@ -100,22 +83,6 @@ class DominatingMeasure:
         return cls(id=id, kind="counting_lebesgue_sum", atoms=tuple(atoms),
                    atom_weights=tuple(weights) if weights is not None else (),
                    region=region, lebesgue_scale=scale)
-
-    @classmethod
-    def product(cls, id: str, parts: Sequence["DominatingMeasure"]):
-        return cls(id=id, kind="product", parts=tuple(parts))
-
-    @classmethod
-    def unit_poisson_law(cls, id: str, region: tuple[float, float]):
-        return cls(id=id, kind="unit_poisson_law", region=region)
-
-    @classmethod
-    def gaussian_bridge_product(cls, id: str, times: Sequence[float]):
-        return cls(id=id, kind="gaussian_bridge_product", times=tuple(times))
-
-    @classmethod
-    def predictive(cls, id: str, base_id: str):
-        return cls(id=id, kind="predictive", base_id=base_id)
 
     # -- evaluation --------------------------------------------------------
 
@@ -126,10 +93,6 @@ class DominatingMeasure:
 
     def atom_mass(self, atom) -> float:
         """Mass this measure puts on a single point (0 off the atom list)."""
-        if self.kind not in ("counting", "counting_lebesgue_sum"):
-            if self.kind == "lebesgue":
-                return 0.0
-            raise ValueError(f"atom_mass undefined for kind {self.kind!r}")
         for a, w in zip(self.atoms, self.atom_weights):
             if a == atom:
                 return w
@@ -137,8 +100,6 @@ class DominatingMeasure:
 
     def ball_mass(self, center: float, radius: float) -> float:
         """Mass of the closed ball [center - radius, center + radius]."""
-        if self.kind not in _BALL_KINDS:
-            raise ValueError(f"ball_mass unsupported for kind {self.kind!r}")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         total = 0.0

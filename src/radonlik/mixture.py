@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .likelihood import NEG_INF, ModelFamily, SampleSpace
+from .likelihood import NEG_INF, LogLikelihoodCurve, ModelFamily, SampleSpace, argmax_indices
 
 
 @dataclass(frozen=True)
@@ -213,11 +213,8 @@ def _sample_log_density(mix: PointMassMixture, ys: np.ndarray, variant: str,
 def grid_mle(mixes: Sequence[PointMassMixture], theta_grid: Sequence[float],
              sample: np.ndarray, variant: str = "correct") -> frozenset[int]:
     """Grid argmax of the sample log density; ties reported as an index set."""
-    values = [_sample_log_density(mix, sample, variant) for mix in mixes]
-    top = max(values)
-    if top == NEG_INF:
-        raise ValueError("all grid points give zero likelihood")
-    return frozenset(i for i, v in enumerate(values) if v == top)
+    values = tuple(_sample_log_density(mix, sample, variant) for mix in mixes)
+    return argmax_indices(LogLikelihoodCurve(variant, "sample", tuple(theta_grid), values))
 
 
 def mixture_total_mass(mix: PointMassMixture, tail_cap: float = 60.0) -> float:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .likelihood import NEG_INF, ModelFamily, SampleSpace
+from .likelihood import NEG_INF, ModelFamily, SampleSpace, argmax_indices, likelihood_curve
 
 MEASURE_PRODUCT = "count-location-product"
 MEASURE_UNIT_POISSON = "unit-rate-poisson"
@@ -75,6 +75,7 @@ class IntensityModel:
     theta_grid: tuple
     rate: Callable                 # (theta, point) -> intensity >= 0
     cumulative: Callable | None = None   # closed-form Lambda(theta), if known
+    max_rate: Callable | None = None     # theta -> sup of the intensity, the thinning bound
 
     def intensity(self, theta, point) -> float:
         value = self.rate(theta, point)
@@ -139,13 +140,8 @@ def loglik_jacod(model: IntensityModel, theta, pattern: PointPattern) -> float:
 
 def mle_intensity(model: IntensityModel, pattern: PointPattern,
                   measure_id: str = MEASURE_PRODUCT) -> frozenset[int]:
-    """Grid argmax of the chosen log likelihood; ties as an index set."""
-    loglik = loglik_product_measure if measure_id == MEASURE_PRODUCT else loglik_jacod
-    values = [loglik(model, theta, pattern) for theta in model.theta_grid]
-    top = max(values)
-    if top == NEG_INF:
-        raise ValueError("all grid intensities give zero likelihood")
-    return frozenset(i for i, v in enumerate(values) if v == top)
+    """Grid argmax of the log likelihood against `measure_id`; ties as an index set."""
+    return argmax_indices(likelihood_curve(pattern_model_family(model), measure_id, pattern))
 
 
 def pattern_model_family(model: IntensityModel) -> ModelFamily:
@@ -182,7 +178,8 @@ def constant_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),)) -> Int
     volume = float(np.prod([hi - lo for lo, hi in region]))
     return IntensityModel(name="constant", region=region, theta_grid=tuple(theta_grid),
                           rate=lambda c, s: float(c),
-                          cumulative=lambda c: float(c) * volume)
+                          cumulative=lambda c: float(c) * volume,
+                          max_rate=lambda c: float(c))
 
 
 def loglinear_intensity(theta_grid: Sequence[tuple], region=((0.0, 1.0),)) -> IntensityModel:
@@ -195,9 +192,13 @@ def loglinear_intensity(theta_grid: Sequence[tuple], region=((0.0, 1.0),)) -> In
             return math.exp(a) * (hi - lo)
         return (math.exp(a + b * hi) - math.exp(a + b * lo)) / b
 
+    def max_rate(theta):
+        a, b = theta
+        return math.exp(a + max(b * lo, b * hi)) + 1e-9
+
     return IntensityModel(name="loglinear", region=((lo, hi),), theta_grid=tuple(theta_grid),
                           rate=lambda th, s: math.exp(th[0] + th[1] * s[0]),
-                          cumulative=cumulative)
+                          cumulative=cumulative, max_rate=max_rate)
 
 
 def sinusoidal_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),),
@@ -211,7 +212,8 @@ def sinusoidal_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),),
 
     return IntensityModel(name="sinusoidal", region=((lo, hi),), theta_grid=tuple(theta_grid),
                           rate=lambda c, s: c * (1.0 + wobble * math.sin(two_pi * s[0])),
-                          cumulative=cumulative)
+                          cumulative=cumulative,
+                          max_rate=lambda c: float(c) * (1.0 + abs(wobble)) + 1e-9)
 
 
 INTENSITY_CATALOG = {

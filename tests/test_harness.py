@@ -8,7 +8,12 @@ from radonlik import LogLikelihoodCurve
 from radonlik.harness import (ConfigError, Report, emit_curves, load_config,
                               mcem_missing_data, resolve_out_dir, run_experiment,
                               write_report_json)
+from radonlik.diffusion import SDE_CATALOG
+from radonlik.expfam import EXPFAM_CATALOG
 from radonlik.harness.cli import main
+from radonlik.harness.config import CONFIG_SCHEMA
+from radonlik.mixture import COMPONENT_CATALOG
+from radonlik.poisson import INTENSITY_CATALOG
 
 
 class TestConfig:
@@ -35,6 +40,13 @@ class TestConfig:
         path.write_text("seed: [unclosed\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_schema_enums_follow_catalogs(self):
+        props = CONFIG_SCHEMA["properties"]
+        assert props["mixture"]["properties"]["component"]["enum"] == list(COMPONENT_CATALOG)
+        assert props["expfam"]["properties"]["families"]["items"]["enum"] == list(EXPFAM_CATALOG)
+        assert props["poisson"]["properties"]["intensity"]["enum"] == list(INTENSITY_CATALOG)
+        assert props["diffusion"]["properties"]["sde"]["enum"] == list(SDE_CATALOG)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError, match="unknown experiment"):

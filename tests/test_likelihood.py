@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from radonlik import (DominatingMeasure, LogLikelihoodCurve, ModelFamily, SampleSpace,
-                      argmax_invariance, check_proportionality, eval_log_density,
+                      argmax_indices, argmax_invariance, check_proportionality, eval_log_density,
                       finite_family, likelihood_curve, neighborhood_density_limit,
                       total_mass)
 
@@ -135,6 +135,50 @@ def test_shift_invariance_property(values, shift):
     report = check_proportionality(c1, c2, 1e-6)
     assert report.passed
     assert argmax_invariance(c1, c2)
+
+
+class TestNonFinitePolicy:
+    @pytest.mark.parametrize("values", [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0),
+                                        (1.0, 0.0, math.nan)])
+    def test_nan_rejected_wherever_it_sits(self, values):
+        with pytest.raises(ValueError, match="log-likelihood nan"):
+            LogLikelihoodCurve("m", "o", (0.1, 0.2, 0.3), values)
+
+    def test_positive_inf_rejected(self):
+        with pytest.raises(ValueError, match="log-likelihood inf"):
+            LogLikelihoodCurve("m", "o", (0.1, 0.2, 0.3), (1.0, math.inf, 0.0))
+
+    def test_negative_inf_allowed(self):
+        curve = LogLikelihoodCurve("m", "o", (0.1, 0.2, 0.3), (NEG_INF, 1.0, NEG_INF))
+        assert argmax_indices(curve) == frozenset({1})
+
+    def test_all_negative_inf_has_no_argmax(self):
+        curve = LogLikelihoodCurve("m", "o", (0.1, 0.2), (NEG_INF, NEG_INF))
+        with pytest.raises(ValueError, match="zero likelihood"):
+            argmax_indices(curve)
+
+
+# small value pool so that ties and non-finite entries come up often
+_LOGLIK = st.one_of(st.sampled_from([0.0, -1.0, NEG_INF, math.nan, math.inf]),
+                    st.floats(-50, 50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LOGLIK, min_size=1, max_size=12).flatmap(
+    lambda vs: st.tuples(st.just(vs), st.permutations(range(len(vs))))))
+def test_argmax_follows_grid_permutation(values_and_order):
+    # holds for every curve the constructor accepts
+    values, order = values_and_order
+    assume(any(v != NEG_INF for v in values))
+    thetas = tuple(float(i) for i in range(len(values)))
+    try:
+        curve = LogLikelihoodCurve("a", "o", thetas, tuple(values))
+    except ValueError:
+        return
+    permuted = LogLikelihoodCurve("a", "o", tuple(thetas[j] for j in order),
+                                  tuple(values[j] for j in order))
+    # index k of the permuted grid is index order[k] of the original
+    assert {order[k] for k in argmax_indices(permuted)} == argmax_indices(curve)
 
 
 class TestNeighborhoodLimit:

@@ -39,10 +39,12 @@ class TestDominatingMeasure:
         nu = DominatingMeasure.lebesgue("l", (0.0, 1.0))
         assert nu.ball_mass(0.0, 0.5) == pytest.approx(0.5)
 
-    def test_unsupported_kind_rejects_ball_mass(self):
-        nu = DominatingMeasure.unit_poisson_law("pp", (0.0, 1.0))
-        with pytest.raises(ValueError):
-            nu.ball_mass(0.0, 0.1)
+    @pytest.mark.parametrize("kind", ["product", "unit_poisson_law",
+                                      "gaussian_bridge_product", "predictive"])
+    def test_name_only_kinds_rejected(self, kind):
+        # structured spaces key their kernels by plain string ids instead
+        with pytest.raises(ValueError, match="unknown measure kind"):
+            DominatingMeasure(id="x", kind=kind)
 
 
 class TestSupport:

@@ -130,6 +130,17 @@ class TestThinning:
             for k in range(50):
                 simulate_thinning(model, 2.0, bound=1.0, seed=k)
 
+    @pytest.mark.parametrize("model", [
+        constant_intensity((0.5, 4.0), ((0.0, 1.5),)),
+        loglinear_intensity(((0.2, -0.9), (1.0, 0.6)), ((0.0, 1.5),)),
+        sinusoidal_intensity((0.5, 4.0), ((0.0, 1.5),)),
+    ], ids=lambda m: m.name)
+    def test_max_rate_bounds_intensity(self, model):
+        (lo, hi), = model.region
+        for theta in model.theta_grid:
+            top = max(model.intensity(theta, (s,)) for s in np.linspace(lo, hi, 2001))
+            assert top <= model.max_rate(theta) <= top * (1.0 + 1e-5)
+
     def test_two_dimensional_region(self):
         model = constant_intensity((4.0,), region=((0.0, 1.0), (0.0, 2.0)))
         pattern = simulate_thinning(model, 4.0, bound=4.0, seed=5)
@@ -148,6 +159,10 @@ class TestMLE:
         model = constant_intensity((0.5, 1.0, 2.0))
         empty = PointPattern(region=((0.0, 1.0),), locations=())
         assert mle_intensity(model, empty) == frozenset({0})
+
+    def test_unknown_measure_rejected(self, unit_region_pattern):
+        with pytest.raises(KeyError):
+            mle_intensity(constant_intensity((1.0, 2.0)), unit_region_pattern, "lebesgue")
 
     def test_argmax_identical_across_kernels(self):
         model = loglinear_intensity(tuple((a, 0.6) for a in np.linspace(-0.5, 1.5, 11)))
