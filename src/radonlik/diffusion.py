@@ -52,7 +52,7 @@ class SDESpec:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Strictly increasing observation times with values."""
+    """Strictly increasing observation times with values, all finite."""
 
     times: tuple
     values: tuple
@@ -62,6 +62,8 @@ class ObservationSet:
             raise ValueError("times and values must have equal length")
         if len(self.times) < 2:
             raise ValueError("need at least two observations")
+        if not all(math.isfinite(v) for v in (*self.times, *self.values)):
+            raise ValueError("times and values must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
 
@@ -258,12 +260,25 @@ def sample_brownian_bridge(length: float, step: float, seed) -> np.ndarray:
 
 def _bridge_rows(rng, rows: int, m: int, dt: float) -> np.ndarray:
     """(rows, m + 1) standard bridges: Brownian paths pinned back to zero."""
-    incr = rng.standard_normal((rows, m)) * math.sqrt(dt)
-    walk = np.cumsum(incr, axis=1)
-    frac = np.linspace(0.0, 1.0, m + 1)
-    out = np.empty((rows, m + 1))
+    return _fill_bridges(rng, math.sqrt(dt), np.linspace(0.0, 1.0, m + 1),
+                         np.empty((rows, m)), np.empty((rows, m + 1)))
+
+
+def _fill_bridges(rng, scale: float, frac: np.ndarray, walk: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Fill `out` (rows, m + 1) with standard bridges, in place.
+
+    `walk` (rows, m) receives the scaled normal increments and their cumsum;
+    the walk is then pinned back to zero, out = walk - frac * walk[:, -1]
+    after a leading zero column, with both ends exactly 0.
+    """
+    rng.standard_normal(out=walk)
+    np.multiply(walk, scale, out=walk)
+    np.cumsum(walk, axis=1, out=walk)
+    tail = out[:, 1:]
+    np.multiply(frac[1:], walk[:, -1:], out=tail)
+    np.subtract(walk, tail, out=tail)
     out[:, 0] = 0.0
-    out[:, 1:] = walk - frac[1:][None, :] * walk[:, -1:]
     out[:, -1] = 0.0
     return out
 
@@ -337,39 +352,85 @@ def diffusion_model_family(spec: SDESpec, theta_grid: Sequence) -> ModelFamily:
 
 # -- Monte Carlo transition density --------------------------------------------
 
-def transition_density_mc(spec: SDESpec, theta, t: float, x0: float, x1: float,
-                          n_replicates: int, step: float, seed,
-                          chunk: int = 2048) -> tuple[float, float]:
-    """Transition density of the unit-diffusion process by bridge sampling.
+# Target size of one row block's (rows, m + 1) buffer in the bridge MC
+# pipeline. A chunk is processed in row blocks of this size, so the few
+# buffers a block works through stay in L2 instead of streaming through memory.
+_BLOCK_BYTES = 512 * 1024
 
-    Returns (estimate, standard error). The estimate is the free Gaussian
-    density times the average drift-correction weight along pinned Brownian
-    paths from x0 to x1; replicates accumulate in fixed chunk order.
-    """
+# Rows per accounting chunk: weights are summed per chunk, so the chunk
+# size is part of what fixes an estimate's bits.
+_CHUNK_ROWS = 2048
+
+
+def _mc_steps(t: float, step: float, n_replicates: int) -> int:
+    """Number of trapezoid steps on [0, t]; checks the replicate floor."""
     if n_replicates < 100:
         raise ValueError("need at least 100 replicates")
     m = round(t / step)
     if m < 1 or abs(m * step - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"step {step} does not divide t {t}")
+    return m
+
+
+def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicates: int,
+                        seed, chunk: int) -> list[tuple[float, float]]:
+    """Sums of the drift-correction weights and of their squares, per theta.
+
+    `ends` holds (theta, x0, x1) triples. Every theta is weighed against the
+    same pinned Brownian bridges, drawn once from `seed`; a theta's result
+    is the one a separate run with that seed gives. Each chunk of `chunk`
+    rows goes through the pipeline in row blocks with preallocated buffers:
+    draw, scale, cumsum, pin, add the base line, integrand, trapezoid and
+    weight. Weights are summed per chunk, in chunk order.
+    """
     dt = t / m
+    scale = math.sqrt(dt)
     frac = np.linspace(0.0, 1.0, m + 1)
-    base_line = x0 + frac * (x1 - x0)
-    delta_a = drift_integral(spec, x1, theta) - drift_integral(spec, x0, theta)
+    lines = [x0 + frac * (x1 - x0) for _, x0, x1 in ends]
+    shifts = [drift_integral(spec, x1, th) - drift_integral(spec, x0, th) for th, x0, x1 in ends]
+    width = min(chunk, n_replicates)
+    block = max(1, min(width, _BLOCK_BYTES // (8 * (m + 1))))
+    walk = np.empty((block, m))
+    bridge = np.empty((block, m + 1))
+    path = np.empty((block, m + 1)) if len(ends) > 1 else bridge
+    integrand = np.empty((block, m + 1))
+    weights = np.empty((len(ends), width))
+    totals = [0.0] * len(ends)
+    squares = [0.0] * len(ends)
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
     done = 0
     while done < n_replicates:
         rows = min(chunk, n_replicates - done)
-        paths = _bridge_rows(rng, rows, m, dt) + base_line[None, :]
-        alpha = np.asarray(unit_drift(spec, paths, theta), dtype=float)
-        alpha_prime = np.asarray(unit_drift_derivative(spec, paths, theta), dtype=float)
-        integrand = 0.5 * (alpha * alpha + alpha_prime)
-        integral = np.trapezoid(integrand, dx=dt, axis=1)
-        weights = np.exp(delta_a - integral)
-        total += float(np.sum(weights))
-        total_sq += float(np.sum(weights * weights))
+        for lo in range(0, rows, block):
+            b = min(block, rows - lo)
+            _fill_bridges(rng, scale, frac, walk[:b], bridge[:b])
+            for k, (theta, _, _) in enumerate(ends):
+                p, y, trap, w = path[:b], integrand[:b], walk[:b], weights[k, lo:lo + b]
+                np.add(bridge[:b], lines[k], out=p)
+                alpha = np.asarray(unit_drift(spec, p, theta), dtype=float)
+                alpha_prime = np.asarray(unit_drift_derivative(spec, p, theta), dtype=float)
+                np.multiply(alpha, alpha, out=y)
+                np.add(y, alpha_prime, out=y)
+                np.multiply(y, 0.5, out=y)
+                # np.trapezoid(y, dx=dt, axis=1), operation for operation;
+                # the walk buffer is free once the bridges are pinned
+                np.add(y[:, 1:], y[:, :-1], out=trap)
+                np.multiply(trap, dt, out=trap)
+                np.divide(trap, 2.0, out=trap)
+                np.add.reduce(trap, axis=1, out=w)
+                np.subtract(shifts[k], w, out=w)
+                np.exp(w, out=w)
+        for k, w in enumerate(weights[:, :rows]):
+            totals[k] += float(np.sum(w))
+            squares[k] += float(np.sum(w * w))
         done += rows
+    return list(zip(totals, squares))
+
+
+def _density_from_sums(total: float, total_sq: float, n_replicates: int, t: float,
+                       x0: float, x1: float) -> tuple[float, float]:
+    """(estimate, standard error): the free Gaussian density times the mean
+    weight, and its SE from the sample variance of the weights."""
     mean = total / n_replicates
     var = max(0.0, (total_sq - n_replicates * mean * mean) / (n_replicates - 1))
     z = (x1 - x0) / math.sqrt(t)
@@ -377,32 +438,52 @@ def transition_density_mc(spec: SDESpec, theta, t: float, x0: float, x1: float,
     return prefactor * mean, prefactor * math.sqrt(var / n_replicates)
 
 
+def transition_density_mc(spec: SDESpec, theta, t: float, x0: float, x1: float,
+                          n_replicates: int, step: float, seed,
+                          chunk: int = _CHUNK_ROWS) -> tuple[float, float]:
+    """Transition density of the unit-diffusion process by bridge sampling.
+
+    Returns (estimate, standard error). The estimate is the free Gaussian
+    density times the average drift-correction weight along pinned Brownian
+    paths from x0 to x1; replicates accumulate in fixed chunk order.
+    """
+    m = _mc_steps(t, step, n_replicates)
+    [(total, total_sq)] = _bridge_weight_sums(spec, ((theta, x0, x1),), t, m, n_replicates,
+                                              seed, chunk)
+    return _density_from_sums(total, total_sq, n_replicates, t, x0, x1)
+
+
 def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
               n_replicates: int, step_fraction: float, seed) -> tuple[frozenset[int], list[float]]:
     """Grid argmax of the MC observed-data log likelihood.
 
     Bridge noise is seeded per interval only, so all grid points see common
-    random numbers. step_fraction scales the trapezoid step relative to each
-    interval length. Returns (argmax index set, log-likelihood curve).
+    random numbers: each interval's bridges are drawn once and shared by
+    every theta, and each theta's term equals `transition_density_mc` at
+    seed [seed, interval]. step_fraction scales the trapezoid step relative
+    to each interval length. Returns (argmax index set, log-likelihood curve).
     """
     theta_grid = tuple(theta_grid)
     if not theta_grid:
         raise ValueError("theta grid must be non-empty")
-    curve = []
-    for theta in theta_grid:
-        x = transform_observations(spec, obs, theta).values
-        loglik = 0.0
-        for i in range(obs.n_intervals):
-            dt_i = obs.times[i + 1] - obs.times[i]
-            est, _ = transition_density_mc(
-                spec, theta, dt_i, x[i], x[i + 1], n_replicates,
-                dt_i * step_fraction, seed=[_seed_int(seed), i])
+    x = [transform_observations(spec, obs, theta).values for theta in theta_grid]
+    curve = [0.0] * len(theta_grid)
+    for i in range(obs.n_intervals):
+        live = [k for k, loglik in enumerate(curve) if loglik != NEG_INF]
+        if not live:
+            break
+        dt_i = obs.times[i + 1] - obs.times[i]
+        m = _mc_steps(dt_i, dt_i * step_fraction, n_replicates)
+        ends = tuple((theta_grid[k], x[k][i], x[k][i + 1]) for k in live)
+        sums = _bridge_weight_sums(spec, ends, dt_i, m, n_replicates,
+                                   [_seed_int(seed), i], _CHUNK_ROWS)
+        for k, (theta, x0, x1), (total, total_sq) in zip(live, ends, sums):
+            est, _ = _density_from_sums(total, total_sq, n_replicates, dt_i, x0, x1)
             if est <= 0.0:
-                loglik = NEG_INF
-                break
-            loglik += math.log(est)
-            loglik += math.log(lamperti_derivative(spec, obs.values[i + 1], theta))
-        curve.append(loglik)
+                curve[k] = NEG_INF
+                continue
+            curve[k] += math.log(est)
+            curve[k] += math.log(lamperti_derivative(spec, obs.values[i + 1], theta))
     indices = argmax_indices(LogLikelihoodCurve("mc-observed-data", "obs", theta_grid,
                                                 tuple(curve)))
     return indices, curve

@@ -199,7 +199,11 @@ def load_config(path=None) -> dict:
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"config error at {where}: {exc.message}") from exc
-    return _merge(DEFAULT_CONFIG, raw)
+    config = _merge(DEFAULT_CONFIG, raw)
+    if config["poisson"]["intensity"] == "loglinear":
+        raise ConfigError("config error at poisson/intensity: 'loglinear' takes theta = (a, b), "
+                          "but poisson.grid is a grid of scalars; pick another poisson.intensity")
+    return config
 
 
 def resolve_out_dir(config: dict, cli_out=None) -> Path:

@@ -206,6 +206,9 @@ def _sample_log_density(mix: PointMassMixture, ys: np.ndarray, variant: str,
         else:
             dens = np.where(here, p, dens)
     if np.any(dens <= 0.0):
+        # a NaN draw is in no region and at no atom, so it always lands here
+        if np.isnan(ys).any():
+            raise ValueError("sample contains NaN")
         return NEG_INF
     return float(np.sum(np.log(dens)))
 

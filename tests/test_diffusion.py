@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from radonlik import argmax_invariance, check_proportionality, likelihood_curve
+from radonlik import argmax_invariance, check_proportionality, diffusion, likelihood_curve
 from radonlik.diffusion import (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED,
                                 BridgeSegment, BridgeSet, ObservationSet, SDESpec,
                                 _bridge_rows, add_linear, brownian_drift_spec,
@@ -232,6 +232,93 @@ class TestTransitionDensityMC:
             transition_density_mc(ou_spec(), 1.0, 1.0, 0.0, 0.5, 50, 1e-2, seed=0)
 
 
+class TestBridgeMCBits:
+    """Golden values recorded from the unblocked chunk loop (one temporary
+    per stage, one transition_density_mc call per (theta, interval)); the
+    blocked pipeline must reproduce them bit for bit."""
+
+    GOLDEN = {
+        # 20000 replicates x 750 steps, as in the diffusion experiment
+        "ou": ((ou_spec(), 1.0, 0.75, 0.0, 0.5, 20000, 1e-3), dict(seed=7),
+               (0.46421918417083885, 0.00019816417015055182)),
+        # a ragged last chunk, and 1000 steps so a block is smaller than a chunk
+        "ragged-fine": ((ou_spec(), 1.3, 1.0, 0.2, -0.4, 2048 + 37, 1e-3), dict(seed=[5, 2]),
+                        (0.4994296330586883, 0.0013637746551743862)),
+        # a ragged last chunk, and 10 steps so one block holds a whole chunk
+        "ragged-coarse": ((ou_spec(), 0.8, 0.5, 0.1, 0.3, 2048 + 37, 0.05), dict(seed=3),
+                          (0.6285925738130146, 0.0002362576726341813)),
+        # 70000 steps: one row per block
+        "one-row-blocks": ((ou_spec(), 1.0, 1.0, 0.0, 0.5, 300, 1.0 / 70000), dict(seed=4),
+                           (0.4493387301050455, 0.0027276870640693496)),
+        "logistic": ((logistic_spec(), 0.9, 0.6, 0.1, 0.4, 5000, 0.002), dict(seed=8),
+                     (0.4280926539044677, 0.000536372827163928)),
+        "small-chunk": ((brownian_drift_spec(), 0.7, 1.0, 0.0, 1.0, 250, 0.01),
+                        dict(seed=9, chunk=100), (0.38138781546052397, 3.27000367098359e-10)),
+        "generic": ((generic(ou_spec()), 1.0, 0.5, 0.0, 0.4, 100, 0.125), dict(seed=1),
+                    (0.5529402214781868, 0.001267197300170727)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_values(self, name):
+        args, kwargs, want = self.GOLDEN[name]
+        assert transition_density_mc(*args, **kwargs) == want
+
+    @pytest.mark.parametrize("block_bytes", [8, 3 * 8 * 1001, 2 ** 19, 2 ** 30])
+    def test_block_size_does_not_change_bits(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(diffusion, "_BLOCK_BYTES", block_bytes)
+        for name in ("ragged-fine", "ragged-coarse", "small-chunk"):
+            args, kwargs, want = self.GOLDEN[name]
+            assert transition_density_mc(*args, **kwargs) == want
+
+    def test_golden_mle_curve(self):
+        obs = simulate_ou(1.0, 0.0, tuple(np.linspace(0.0, 2.5, 6)), 3)
+        idx, curve = mle_theta(ou_spec(), obs, (0.5, 1.0, 1.5), 300, 0.02, seed=11)
+        assert idx == frozenset({2})
+        assert curve == [-7.638974329068154, -7.415677605944247, -7.399053013511613]
+
+    def test_golden_bridges(self):
+        assert sample_brownian_bridge(1.0, 0.125, seed=0).tolist() == [
+            0.0, -0.07999645062542717, -0.25115136954896616, -0.14917656666505114,
+            -0.23653757116500063, -0.5503740908761233, -0.5469797297841523,
+            -0.21039488908764858, 0.0]
+        segments = sample_bridge_set((0.0, 0.5, 1.25), 4, seed=6).segments
+        assert [seg.values.tolist() for seg in segments] == [
+            [0.0, 0.36010410378208835, 0.9759600857021532, 0.061006557137644, 0.0],
+            [0.0, -0.44094832738721385, -0.28586686018356156, 0.30169511165747676, 0.0]]
+
+    @pytest.mark.parametrize("spec, values", [
+        (ou_spec(sigma0=1.3), (0.1, -0.4, 0.3, 0.9, 0.2)),
+        (logistic_spec(), (1.2, 0.7, 1.5, 1.1, 0.9)),
+    ])
+    def test_mle_curve_is_sum_of_single_theta_runs(self, spec, values):
+        obs = ObservationSet(times=(0.0, 0.4, 1.0, 1.5, 2.3), values=values)
+        grid, seed, n, frac = (0.25, 0.9, 2.0), 13, 2048 + 37, 0.02
+        _, curve = mle_theta(spec, obs, grid, n, frac, seed=seed)
+        want = []
+        for theta in grid:
+            x = transform_observations(spec, obs, theta).values
+            loglik = 0.0
+            for i in range(obs.n_intervals):
+                t = obs.times[i + 1] - obs.times[i]
+                est, _ = transition_density_mc(spec, theta, t, x[i], x[i + 1], n, t * frac,
+                                               seed=[seed, i])
+                loglik += math.log(est)
+                loglik += math.log(lamperti_derivative(spec, obs.values[i + 1], theta))
+            want.append(loglik)
+        assert curve == want
+
+    def test_step_must_divide_t(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            transition_density_mc(ou_spec(), 1.0, 1.0, 0.0, 0.5, 200, 0.3, seed=0)
+
+    def test_mle_checks_replicates_and_step(self):
+        obs = ObservationSet(times=(0.0, 0.5), values=(0.2, 0.1))
+        with pytest.raises(ValueError, match="100 replicates"):
+            mle_theta(ou_spec(), obs, (0.8,), 99, 0.02, seed=1)
+        with pytest.raises(ValueError, match="does not divide"):
+            mle_theta(ou_spec(), obs, (0.8,), 200, 0.3, seed=1)
+
+
 class TestMLE:
     def test_single_point_grid(self):
         obs = ObservationSet(times=(0.0, 0.5), values=(0.2, 0.1))
@@ -267,3 +354,20 @@ class TestObservationIO:
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
             ObservationSet(times=(0.0, 0.0), values=(1.0, 2.0))
+
+    @pytest.mark.parametrize("times, values", [
+        ((0.0, 1.0), (0.5, math.inf)),
+        ((0.0, 1.0), (-math.inf, 0.5)),
+        ((0.0, 1.0), (math.nan, 0.5)),
+        ((0.0, math.nan, 2.0), (0.1, 0.2, 0.3)),
+        ((0.0, math.inf), (0.1, 0.2)),
+    ])
+    def test_non_finite_rejected(self, times, values):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(times=times, values=values)
+
+    def test_non_finite_csv_rejected(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("t,y\n0.0,0.1\n0.5,nan\n1.0,0.3\n")
+        with pytest.raises(ValueError, match="finite"):
+            observations_from_csv(path)

@@ -35,6 +35,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="poisson/intensity"):
             load_config(path)
 
+    def test_loglinear_intensity_rejected_at_load(self, tmp_path):
+        # poisson.grid is a scalar grid; loglinear takes theta = (a, b)
+        path = tmp_path / "cfg.yaml"
+        path.write_text("poisson:\n  intensity: loglinear\n")
+        with pytest.raises(ConfigError, match="poisson.intensity"):
+            load_config(path)
+
     def test_bad_yaml_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: [unclosed\n")

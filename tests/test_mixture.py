@@ -105,6 +105,18 @@ class TestGridMLE:
         with pytest.raises(ValueError):
             grid_mle(mixes, grid, np.array([3.0]), "correct")
 
+    def test_nan_in_sample_rejected(self):
+        comp = COMPONENT_CATALOG["exponential"]()
+        grid = (0.2, 0.4)
+        mixes = [atom_weight_mixture(0.0, comp, p) for p in grid]
+        with pytest.raises(ValueError, match="NaN"):
+            grid_mle(mixes, grid, [0.0, 1.0, math.nan], "correct")
+        family = atom_weight_family(0.0, comp, grid)
+        for measure_id in ("counting-lebesgue", "counting-2lebesgue",
+                           "counting-lebesgue-naive", "lebesgue-only"):
+            with pytest.raises(ValueError, match="NaN"):
+                likelihood_curve(family, measure_id, np.array([math.nan, 1.0]))
+
 
 class TestModelFamilyRoutes:
     def test_second_measure_proportional_at_tight_tol(self):
