@@ -8,6 +8,7 @@ posteriors computed from different bases coincide pointwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 
-from .likelihood import ModelFamily, SampleSpace, eval_log_density
+from .likelihood import ModelFamily, SampleSpace, likelihood_curve
 from .measures import DominatingMeasure
 
 # Default node count for grid priors; the documented floor is 1024 nodes and
@@ -128,14 +129,9 @@ class DominanceReport:
 
 
 def _kernel_on_thetas(family: ModelFamily, measure_id: str, x) -> Callable:
-    vec = family.vectorized_kernel(measure_id)
-    if vec is not None:
-        return lambda thetas: vec(thetas, x)
-
+    """theta -> likelihood at x, for a theta array or one theta."""
     def fn(thetas):
-        arr = np.atleast_1d(np.asarray(thetas, dtype=float))
-        out = np.array([math.exp(eval_log_density(family, measure_id, float(th), x))
-                        for th in arr])
+        out = np.exp(family.log_kernel(measure_id, np.atleast_1d(thetas), x))
         return out if np.ndim(thetas) else float(out[0])
     return fn
 
@@ -190,8 +186,9 @@ class PredictiveMeasure:
 
 def predictive_measure(family: ModelFamily, measure_id: str, prior: Prior,
                        base: DominatingMeasure) -> PredictiveMeasure:
-    return PredictiveMeasure(base=base,
-                             marginal=lambda x: marginal_density(family, measure_id, prior, x))
+    """The marginal is memoized per x: set masses revisit the same atoms."""
+    return PredictiveMeasure(base=base, marginal=functools.cache(
+        lambda x: marginal_density(family, measure_id, prior, x)))
 
 
 def predictive_invariance(family: ModelFamily, prior: Prior,
@@ -219,15 +216,13 @@ def dominance_check(family: ModelFamily, measure_id: str, prior: Prior,
         raise ValueError("dominance check requires a finite atom space")
     marg = [marginal_density(family, measure_id, prior, x) for x in atoms]
     zero_set = tuple(x for x, m in zip(atoms, marg) if m <= ZERO_SET_EPS)
-    hits = []
-    for theta in family.theta_grid:
-        mass = sum(math.exp(eval_log_density(family, measure_id, theta, x)) * base.atom_mass(x)
-                   for x in zero_set)
-        hits.append(mass > 1e-10)
-    supports = []
-    for theta in family.theta_grid:
-        supports.append(tuple(math.exp(eval_log_density(family, measure_id, theta, x)) > 0.0
-                              for x in atoms))
+    # likelihood[x][i]: the kernel at atom x and the i-th grid theta
+    likelihood = {x: [math.exp(v) for v in likelihood_curve(family, measure_id, x).values]
+                  for x in atoms}
+    hits = [sum(likelihood[x][i] * base.atom_mass(x) for x in zero_set) > 1e-10
+            for i in range(len(family.theta_grid))]
+    supports = [tuple(likelihood[x][i] > 0.0 for x in atoms)
+                for i in range(len(family.theta_grid))]
     support_constant = all(s == supports[0] for s in supports)
     dominated = not any(hits)
     if support_constant and not dominated:
@@ -248,10 +243,17 @@ def binomial_family(n: int, theta_grid: Sequence[float]) -> tuple[ModelFamily, d
     doubled = DominatingMeasure.counting("counting-x2", atoms, weights=(2.0,) * len(atoms))
     family = ModelFamily(theta_grid, SampleSpace(label="binomial", atoms=atoms))
 
-    def pmf(theta, x):
-        return math.comb(n, x) * theta ** x * (1.0 - theta) ** (n - x)
+    def log_pmf(thetas, x):
+        # comb * t**x * (1-t)**(n-x), in place: the prior grid has 2^18+1 nodes
+        t = np.asarray(thetas, dtype=float)
+        out = t ** x
+        out *= math.comb(n, x)
+        tail = 1.0 - t
+        tail **= n - x
+        out *= tail
+        with np.errstate(divide="ignore"):
+            return np.log(out, out=out)
 
-    family.register_kernel("counting", pmf, theta_vectorized=True)
-    family.register_kernel("counting-x2", lambda th, x: pmf(th, x) / 2.0,
-                           theta_vectorized=True)
+    family.register_kernel("counting", log_pmf)
+    family.register_kernel("counting-x2", lambda ths, x: log_pmf(ths, x) - math.log(2.0))
     return family, {"counting": counting, "counting-x2": doubled}

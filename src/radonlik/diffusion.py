@@ -138,10 +138,6 @@ class BridgeSegment:
     def step(self) -> float:
         return (self.t1 - self.t0) / self.n_steps
 
-    @property
-    def fractions(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_steps + 1)
-
 
 @dataclass(frozen=True)
 class BridgeSet:
@@ -340,13 +336,13 @@ def bridge_tilt_log_weight(obs: ObservationSet, bridges: BridgeSet) -> float:
 def diffusion_model_family(spec: SDESpec, theta_grid: Sequence) -> ModelFamily:
     """Joint kernel and its theta-free tilted variant over (obs, bridges)."""
     family = ModelFamily(theta_grid, SampleSpace(label="obs-and-bridges"))
-    family.register_log_kernel(
-        MEASURE_OBS_BRIDGE,
-        lambda th, ob: obs_bridge_log_density(spec, ob[0], ob[1], th))
-    family.register_log_kernel(
-        MEASURE_OBS_BRIDGE_TILTED,
-        lambda th, ob: obs_bridge_log_density(spec, ob[0], ob[1], th)
-        - bridge_tilt_log_weight(ob[0], ob[1]))
+
+    def joint(thetas, ob):
+        return np.array([obs_bridge_log_density(spec, ob[0], ob[1], th) for th in thetas])
+
+    family.register_kernel(MEASURE_OBS_BRIDGE, joint)
+    family.register_kernel(MEASURE_OBS_BRIDGE_TILTED,
+                           lambda ths, ob: joint(ths, ob) - bridge_tilt_log_weight(ob[0], ob[1]))
     return family
 
 

@@ -68,14 +68,24 @@ class ExponentialFamily:
             self.log_partition(theta)
 
 
-def log_density(fam: ExponentialFamily, theta, omega) -> float:
-    """eta(theta) . T(omega) - logpart(theta) + log h(omega)."""
+def log_densities(fam: ExponentialFamily, thetas: Sequence, omega) -> np.ndarray:
+    """eta(theta) . T(omega) - logpart(theta) + log h(omega) for each theta.
+
+    T(omega) and log h(omega) are taken once for all thetas.
+    """
     lh = fam.log_carrier(omega)
     if lh == NEG_INF:
-        return NEG_INF
-    eta = np.atleast_1d(np.asarray(fam.natural_param(theta), dtype=float))
+        return np.full(len(thetas), NEG_INF)
     t = np.atleast_1d(np.asarray(fam.sufficient_stat(omega), dtype=float))
-    return float(eta @ t) - fam.log_partition(theta) + lh
+    return np.array([
+        float(np.atleast_1d(np.asarray(fam.natural_param(theta), dtype=float)) @ t)
+        - fam.log_partition(theta) + lh
+        for theta in thetas])
+
+
+def log_density(fam: ExponentialFamily, theta, omega) -> float:
+    """The one-theta case of `log_densities`."""
+    return float(log_densities(fam, (theta,), omega)[0])
 
 
 def compute_log_partition(fam: ExponentialFamily, theta) -> float:
@@ -174,8 +184,8 @@ def factorization_ratio_test(fam: ExponentialFamily, omega1, omega2, tol: float 
     t2 = np.atleast_1d(np.asarray(fam.sufficient_stat(omega2), dtype=float))
     if not np.array_equal(t1, t2):
         raise ValueError("sufficient statistics differ; ratio test requires T(omega1) == T(omega2)")
-    diffs = [log_density(fam, theta, omega1) - log_density(fam, theta, omega2)
-             for theta in fam.theta_grid]
+    diffs = (log_densities(fam, fam.theta_grid, omega1)
+             - log_densities(fam, fam.theta_grid, omega2)).tolist()
     return max(diffs) - min(diffs) <= tol
 
 
@@ -217,10 +227,8 @@ def as_model_family(base_fam: ExponentialFamily, *named_variants: tuple[str, Exp
     """Bundle a base family and re-expressed variants into one ModelFamily."""
     space = sample_space if sample_space is not None else SampleSpace(label=base_fam.name)
     model = ModelFamily(base_fam.theta_grid, space)
-    model.register_log_kernel("base", lambda th, w: log_density(base_fam, th, w))
-    for measure_id, variant in named_variants:
-        model.register_log_kernel(
-            measure_id, lambda th, w, _v=variant: log_density(_v, th, w))
+    for measure_id, variant in (("base", base_fam), *named_variants):
+        model.register_kernel(measure_id, lambda ths, w, _v=variant: log_densities(_v, ths, w))
     return model
 
 

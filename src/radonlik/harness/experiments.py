@@ -17,7 +17,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import chisquare, poisson as poisson_dist
 
 from .. import bayes, diffusion, expfam, mixture, poisson
-from ..likelihood import (LogLikelihoodCurve, ModelFamily, argmax_invariance,
+from ..likelihood import (NEG_INF, LogLikelihoodCurve, ModelFamily, argmax_invariance,
                           check_proportionality, likelihood_curve)
 from .config import ConfigError, grid_from_spec
 from .mcem import mcem_missing_data
@@ -560,7 +560,8 @@ def _delta_family():
     atoms = (0, 1)
     counting = bayes.DominatingMeasure.counting("counting", atoms)
     family = ModelFamily((0.0, 1.0), bayes.SampleSpace(label="delta", atoms=atoms))
-    family.register_kernel("counting", lambda th, x: 1.0 if float(x) == th else 0.0)
+    family.register_kernel(
+        "counting", lambda ths, x: [0.0 if float(x) == th else NEG_INF for th in ths])
     return family, {"counting": counting}
 
 

@@ -48,12 +48,14 @@ class SampleSpace:
 
 
 class ModelFamily:
-    """Parameter grid plus density kernels keyed by dominating-measure id.
+    """Parameter grid plus one log-density kernel per dominating-measure id.
 
-    Kernels may be registered in linear domain (values in [0, inf)) or
-    directly in log domain; evaluation is always log-domain. An optional
-    closed-form interval mass function `interval_mass(theta, lo, hi)`
-    short-circuits quadrature in neighborhood-mass computations.
+    Kernel contract: `register_kernel(measure_id, log_kernel)`, where
+    `log_kernel(thetas, omega)` takes a sequence of grid values (a tuple or a
+    1-D ndarray) and returns one log density per theta, `-inf` where the
+    density vanishes. A likelihood curve is one kernel call over the grid.
+    An optional closed-form interval mass function `interval_mass(theta, lo,
+    hi)` short-circuits quadrature in neighborhood-mass computations.
     """
 
     def __init__(self, theta_grid: Sequence, sample_space: SampleSpace | None = None,
@@ -64,40 +66,19 @@ class ModelFamily:
         self.sample_space = sample_space if sample_space is not None else SampleSpace()
         self.interval_mass = interval_mass
         self._log_kernels: dict[str, Callable] = {}
-        self._vec_kernels: dict[str, Callable] = {}
 
-    @property
-    def measure_ids(self) -> tuple[str, ...]:
-        return tuple(self._log_kernels)
-
-    def register_kernel(self, measure_id: str, kernel: Callable,
-                        theta_vectorized: bool = False) -> None:
-        """Register a linear-domain density kernel (theta, omega) -> [0, inf).
-
-        With theta_vectorized=True the kernel must also accept a theta array
-        and return the density array; prior integration exploits this.
-        """
-
-        def log_kernel(theta, omega):
-            value = kernel(theta, omega)
-            if value < 0:
-                raise ValueError(f"kernel for {measure_id!r} returned negative value {value}")
-            return math.log(value) if value > 0 else NEG_INF
-
-        self._log_kernels[measure_id] = log_kernel
-        if theta_vectorized:
-            self._vec_kernels[measure_id] = kernel
-
-    def vectorized_kernel(self, measure_id: str) -> Callable | None:
-        return self._vec_kernels.get(measure_id)
-
-    def register_log_kernel(self, measure_id: str, log_kernel: Callable) -> None:
+    def register_kernel(self, measure_id: str, log_kernel: Callable) -> None:
         self._log_kernels[measure_id] = log_kernel
 
-    def log_kernel(self, measure_id: str, theta, omega) -> float:
+    def log_kernel(self, measure_id: str, thetas: Sequence, omega) -> np.ndarray:
+        """Log densities at omega, one per theta of `thetas`."""
         if measure_id not in self._log_kernels:
             raise KeyError(f"no kernel registered for measure id {measure_id!r}")
-        return self._log_kernels[measure_id](theta, omega)
+        values = np.asarray(self._log_kernels[measure_id](thetas, omega), dtype=float)
+        if values.shape != (len(thetas),):
+            raise ValueError(f"kernel for {measure_id!r} returned shape {values.shape} "
+                             f"for {len(thetas)} thetas")
+        return values
 
 
 @dataclass(frozen=True)
@@ -133,19 +114,24 @@ class ProportionalityReport:
     passed: bool
 
 
-def eval_log_density(family: ModelFamily, measure_id: str, theta, omega) -> float:
-    """Log of the registered kernel; -inf where the kernel vanishes."""
+def _check_in_sample_space(family: ModelFamily, omega) -> None:
     if not family.sample_space.contains(omega):
         raise ValueError(f"observation {omega!r} outside sample space {family.sample_space.label!r}")
-    return family.log_kernel(measure_id, theta, omega)
+
+
+def eval_log_density(family: ModelFamily, measure_id: str, theta, omega) -> float:
+    """Log of the registered kernel at one theta; -inf where it vanishes."""
+    _check_in_sample_space(family, omega)
+    return float(family.log_kernel(measure_id, (theta,), omega)[0])
 
 
 def likelihood_curve(family: ModelFamily, measure_id: str, omega,
                      observation_id: str = "obs") -> LogLikelihoodCurve:
-    values = tuple(eval_log_density(family, measure_id, theta, omega)
-                   for theta in family.theta_grid)
+    """The kernel over the whole grid at omega, in one kernel call."""
+    _check_in_sample_space(family, omega)
+    values = family.log_kernel(measure_id, family.theta_grid, omega)
     return LogLikelihoodCurve(measure_id=measure_id, observation_id=observation_id,
-                              thetas=family.theta_grid, values=values)
+                              thetas=family.theta_grid, values=tuple(values.tolist()))
 
 
 def check_proportionality(curve1: LogLikelihoodCurve, curve2: LogLikelihoodCurve,
@@ -200,7 +186,8 @@ def _mass_in_ball(family: ModelFamily, measure: DominatingMeasure, theta,
         return family.interval_mass(theta, center - radius, center + radius)
     mass = 0.0
     for atom in measure.atoms_in_ball(center, radius):
-        mass += math.exp(family.log_kernel(measure.id, theta, atom)) * measure.atom_mass(atom)
+        mass += (math.exp(eval_log_density(family, measure.id, theta, atom))
+                 * measure.atom_mass(atom))
     if measure.region is not None:
         lo = max(measure.region[0], center - radius)
         hi = min(measure.region[1], center + radius)
@@ -208,7 +195,7 @@ def _mass_in_ball(family: ModelFamily, measure: DominatingMeasure, theta,
             atoms_inside = [a for a in measure.atoms if lo < a < hi]
 
             def integrand(y):
-                return math.exp(family.log_kernel(measure.id, theta, y))
+                return math.exp(eval_log_density(family, measure.id, theta, y))
 
             value, _ = quad(integrand, lo, hi, points=atoms_inside or None,
                             epsabs=1e-13, limit=200)
@@ -241,13 +228,13 @@ def total_mass(family: ModelFamily, measure: DominatingMeasure, theta) -> float:
     """Integral of the registered kernel against the measure; should be 1."""
     mass = 0.0
     for atom, weight in zip(measure.atoms, measure.atom_weights):
-        mass += math.exp(family.log_kernel(measure.id, theta, atom)) * weight
+        mass += math.exp(eval_log_density(family, measure.id, theta, atom)) * weight
     if measure.region is not None:
         lo, hi = measure.region
         atoms_inside = [a for a in measure.atoms if lo < a < hi]
 
         def integrand(y):
-            return math.exp(family.log_kernel(measure.id, theta, y))
+            return math.exp(eval_log_density(family, measure.id, theta, y))
 
         value, _ = quad(integrand, lo, hi, points=atoms_inside or None,
                         epsabs=1e-10, limit=200)
@@ -259,7 +246,7 @@ def finite_family(atoms: Sequence, mass_rows: Sequence[Sequence[float]], theta_g
                   measure_id: str = "counting") -> ModelFamily:
     """Finite discrete family from a (grid x atoms) probability mass table."""
     atoms = tuple(atoms)
-    table = {}
+    log_table = {}
     for theta, row in zip(theta_grid, mass_rows):
         row = tuple(row)
         if len(row) != len(atoms):
@@ -269,7 +256,8 @@ def finite_family(atoms: Sequence, mass_rows: Sequence[Sequence[float]], theta_g
         total = sum(row)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses for theta {theta!r} sum to {total}, not 1")
-        table[theta] = dict(zip(atoms, row))
+        log_table[theta] = {a: math.log(p) if p > 0 else NEG_INF for a, p in zip(atoms, row)}
     family = ModelFamily(theta_grid, SampleSpace(label="atoms", atoms=atoms))
-    family.register_kernel(measure_id, lambda theta, omega: table[theta][omega])
+    family.register_kernel(measure_id,
+                           lambda thetas, omega: [log_table[th][omega] for th in thetas])
     return family

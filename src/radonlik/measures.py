@@ -163,10 +163,8 @@ def build_minimal_dominating_measure(family, selected_thetas, measure_id: str = 
     weights = (1.0 / k,) * k
     masses = {}
     for atom in atoms:
-        masses[atom] = sum(
-            w * math.exp(family.log_kernel(measure_id, theta, atom))
-            for w, theta in zip(weights, selected)
-        )
+        masses[atom] = sum(w * math.exp(v) for w, v in
+                           zip(weights, family.log_kernel(measure_id, selected, atom)))
     return MixtureMeasure(weights=weights, thetas=selected, atom_masses=masses)
 
 
@@ -178,9 +176,8 @@ def verify_dominance(candidate, family, measure_id: str = "counting") -> bool:
     for atom in atoms:
         if candidate.atom_mass(atom) > 0.0:
             continue
-        for theta in family.theta_grid:
-            if math.exp(family.log_kernel(measure_id, theta, atom)) > 0.0:
-                return False
+        if any(math.exp(v) > 0.0 for v in family.log_kernel(measure_id, family.theta_grid, atom)):
+            return False
     return True
 
 

@@ -252,13 +252,13 @@ def atom_weight_family(atom: float, component: Component, p_grid: Sequence[float
     """
     mixes = {p: atom_weight_mixture(atom, component, p) for p in p_grid}
     family = ModelFamily(p_grid, SampleSpace(label="iid-sample"))
-    family.register_log_kernel(
-        "counting-lebesgue", lambda p, ys: _sample_log_density(mixes[p], ys, "correct"))
-    family.register_log_kernel(
-        "counting-2lebesgue",
-        lambda p, ys: _sample_log_density(mixes[p], ys, "correct", lebesgue_scale=2.0))
-    family.register_log_kernel(
-        "counting-lebesgue-naive", lambda p, ys: _sample_log_density(mixes[p], ys, "naive"))
-    family.register_log_kernel(
-        "lebesgue-only", lambda p, ys: _sample_log_density(mixes[p], ys, "lebesgue-only"))
+
+    def kernel(variant: str, lebesgue_scale: float = 1.0):
+        return lambda ps, ys: [_sample_log_density(mixes[p], ys, variant, lebesgue_scale)
+                               for p in ps]
+
+    family.register_kernel("counting-lebesgue", kernel("correct"))
+    family.register_kernel("counting-2lebesgue", kernel("correct", lebesgue_scale=2.0))
+    family.register_kernel("counting-lebesgue-naive", kernel("naive"))
+    family.register_kernel("lebesgue-only", kernel("lebesgue-only"))
     return family

@@ -26,8 +26,9 @@ MEASURE_UNIT_POISSON = "unit-rate-poisson"
 class PointPattern:
     """A realization (N, s_1..s_N) on a bounded box region.
 
-    The region is a tuple of per-dimension (lo, hi) intervals; locations are
-    an (N, d) array (1-D patterns may be built from flat lists).
+    The region is a tuple of per-dimension (lo, hi) intervals, each finite
+    with lo < hi; locations are an (N, d) array (1-D patterns may be built
+    from flat lists).
     """
 
     region: tuple
@@ -35,6 +36,9 @@ class PointPattern:
 
     def __post_init__(self):
         region = tuple(tuple(map(float, side)) for side in self.region)
+        for lo, hi in region:
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"region side {(lo, hi)} must be finite with lo < hi")
         object.__setattr__(self, "region", region)
         pts = []
         for p in self.locations:
@@ -147,10 +151,10 @@ def mle_intensity(model: IntensityModel, pattern: PointPattern,
 def pattern_model_family(model: IntensityModel) -> ModelFamily:
     """Both likelihood routes bundled for curve and proportionality checks."""
     family = ModelFamily(model.theta_grid, SampleSpace(label="point-pattern"))
-    family.register_log_kernel(
-        MEASURE_PRODUCT, lambda th, pat: loglik_product_measure(model, th, pat))
-    family.register_log_kernel(
-        MEASURE_UNIT_POISSON, lambda th, pat: loglik_jacod(model, th, pat))
+    family.register_kernel(
+        MEASURE_PRODUCT, lambda ths, pat: [loglik_product_measure(model, th, pat) for th in ths])
+    family.register_kernel(
+        MEASURE_UNIT_POISSON, lambda ths, pat: [loglik_jacod(model, th, pat) for th in ths])
     return family
 
 

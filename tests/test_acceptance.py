@@ -111,7 +111,7 @@ def test_criterion_5_shrinking_ball_limit():
     """Ball-mass ratios: Gaussian error decreasing to < 1e-3; atom to p1."""
     target = 0.3989423
     fam = ModelFamily((0.0,), SampleSpace(region=(-30.0, 30.0)))
-    fam.register_kernel("lebesgue", lambda th, y: float(norm.pdf(y)))
+    fam.register_kernel("lebesgue", lambda ths, y: np.full(len(ths), norm.logpdf(y)))
     nu = DominatingMeasure.lebesgue("lebesgue", (-30.0, 30.0))
     radii = [2.0 ** (-j) for j in range(4, 15)]
     ratios = neighborhood_density_limit(fam, nu, 0.0, 0.0, radii)

@@ -102,6 +102,16 @@ class TestPosterior:
         with pytest.raises(LikelihoodVanishesError):
             posterior(fam, "counting", Prior.point_mass(0.0), 1)
 
+    def test_kernel_matches_pmf_expression_bit_for_bit(self):
+        # the kernel builds the pmf in place; the one-expression form is the reference
+        t = np.linspace(0.0, 1.0, 1025)
+        for n in (1, 4, 10):
+            family, _ = binomial_family(n, (0.5,))
+            for x in range(n + 1):
+                with np.errstate(divide="ignore"):
+                    want = np.log(math.comb(n, x) * t ** x * (1.0 - t) ** (n - x))
+                assert np.array_equal(family.log_kernel("counting", t, x), want)
+
     def test_base_invariance_pointwise(self):
         family, _ = binomial_family(6, (0.5,))
         prior = Prior.uniform_grid()
@@ -127,9 +137,26 @@ class TestPredictiveMeasure:
         assert lam.set_mass(atoms=()) == 0.0
         assert lam.set_mass(atoms=tuple(range(5))) == pytest.approx(1.0, abs=1e-6)
 
+    def test_marginal_computed_once_per_atom(self, monkeypatch):
+        family, measures = binomial_family(4, (0.5,))
+        seen = []
+        original = marginal_density
+
+        def counting(fam, mid, prior, x):
+            seen.append(x)
+            return original(fam, mid, prior, x)
+
+        monkeypatch.setattr("radonlik.bayes.marginal_density", counting)
+        lam = predictive_measure(family, "counting", Prior.uniform_grid(nodes=1025),
+                                 measures["counting"])
+        first = lam.set_mass(atoms=(0, 1, 2))
+        assert lam.set_mass(atoms=tuple(range(5))) == pytest.approx(1.0, abs=1e-6)
+        assert lam.set_mass(atoms=(0, 1, 2)) == first
+        assert sorted(seen) == [0, 1, 2, 3, 4]
+
     def test_continuous_base_interval_mass(self):
         fam = ModelFamily((0.5,), SampleSpace(region=(0.0, 1.0)))
-        fam.register_kernel("lebesgue", lambda th, y: 1.0, theta_vectorized=False)
+        fam.register_kernel("lebesgue", lambda ths, y: np.zeros(len(ths)))
         base = DominatingMeasure.lebesgue("lebesgue", (0.0, 1.0))
         lam = predictive_measure(fam, "lebesgue", Prior.point_mass(0.5), base)
         assert lam.set_mass(interval=(0.2, 0.7)) == pytest.approx(0.5, abs=1e-9)

@@ -10,7 +10,8 @@ from radonlik.expfam import (DivergentNormalizerError, DominatingMeasure,
                              ExponentialFamily, as_model_family, bernoulli_family,
                              change_dominating_measure, compute_log_partition,
                              factorization_ratio_test, gaussian_known_var_family,
-                             iid_family, log_density, poisson_family, tilt_to_lambda)
+                             iid_family, log_densities, log_density, poisson_family,
+                             tilt_to_lambda)
 
 
 class TestLogDensity:
@@ -138,6 +139,41 @@ class TestChangeOfBase:
             change_dominating_measure(fam, fam.base,
                                       mixture_density_new=lambda x: 1.0,
                                       mixture_density_old=lambda x: 0.0).carrier(2)
+
+
+class TestLogDensities:
+    """The grid routine takes T(omega) and log h(omega) once and must give
+    the bits of the per-theta formula."""
+
+    @staticmethod
+    def per_theta(fam, theta, omega):
+        lh = fam.log_carrier(omega)
+        if lh == float("-inf"):
+            return lh
+        eta = np.atleast_1d(np.asarray(fam.natural_param(theta), dtype=float))
+        t = np.atleast_1d(np.asarray(fam.sufficient_stat(omega), dtype=float))
+        return float(eta @ t) - fam.log_partition(theta) + lh
+
+    def test_iid_variants_bit_identical(self):
+        rng = np.random.default_rng(11)
+        fam = poisson_family(tuple(np.linspace(0.4, 6.0, 15)))
+        weights = tuple(0.5 ** (x + 1) for x in range(len(fam.base.atoms)))
+        lookup = dict(zip(fam.base.atoms, weights))
+        alt = DominatingMeasure.counting("geo", fam.base.atoms, weights)
+        changed = change_dominating_measure(
+            fam, alt, mixture_density_new=lambda x: 1.0 / lookup[x],
+            mixture_density_old=lambda x: 1.0)
+        sample = tuple(float(x) for x in rng.poisson(2.5, size=200))
+        for variant in (fam, tilt_to_lambda(fam), changed):
+            iid = iid_family(variant, len(sample))
+            got = log_densities(iid, iid.theta_grid, sample)
+            want = [self.per_theta(iid, th, sample) for th in iid.theta_grid]
+            assert got.tolist() == want
+            assert [log_density(iid, th, sample) for th in iid.theta_grid] == want
+
+    def test_vanishing_carrier_gives_neg_inf_everywhere(self):
+        fam = poisson_family((0.5, 1.0, 2.0), truncation=5)
+        assert log_densities(fam, fam.theta_grid, 6).tolist() == [float("-inf")] * 3
 
 
 class TestFactorization:

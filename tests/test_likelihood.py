@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ NEG_INF = float("-inf")
 
 def uniform01_family():
     fam = ModelFamily((0.0,), SampleSpace(label="unit", region=(0.0, 1.0)))
-    fam.register_kernel("lebesgue", lambda th, y: 1.0)
+    fam.register_kernel("lebesgue", lambda ths, y: np.zeros(len(ths)))
     return fam
 
 
@@ -45,12 +46,6 @@ class TestEvalLogDensity:
         with pytest.raises(ValueError):
             eval_log_density(uniform01_family(), "lebesgue", 0.0, 1.5)
 
-    def test_negative_kernel_rejected(self):
-        fam = ModelFamily((0.0,))
-        fam.register_kernel("bad", lambda th, y: -1.0)
-        with pytest.raises(ValueError):
-            fam.log_kernel("bad", 0.0, 0.0)
-
 
 class TestLikelihoodCurve:
     def test_bernoulli_curve_values(self):
@@ -65,6 +60,31 @@ class TestLikelihoodCurve:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LogLikelihoodCurve("m", "o", (0.1, 0.2), (1.0,))
+
+    def test_kernel_called_once_per_curve(self):
+        calls = []
+
+        def kernel(thetas, omega):
+            calls.append(tuple(thetas))
+            return [-float(th) * omega for th in thetas]
+
+        fam = ModelFamily((0.5, 1.0, 2.0), SampleSpace(region=(0.0, 10.0)))
+        fam.register_kernel("lebesgue", kernel)
+        curve = likelihood_curve(fam, "lebesgue", 2.0)
+        assert calls == [(0.5, 1.0, 2.0)]
+        assert curve.values == (-1.0, -2.0, -4.0)
+
+    def test_sample_space_checked_before_kernel(self):
+        fam = ModelFamily((0.0,), SampleSpace(region=(0.0, 1.0)))
+        fam.register_kernel("lebesgue", lambda ths, y: pytest.fail("kernel called"))
+        with pytest.raises(ValueError, match="outside sample space"):
+            likelihood_curve(fam, "lebesgue", 1.5)
+
+    def test_kernel_must_return_one_value_per_theta(self):
+        fam = ModelFamily((0.1, 0.2))
+        fam.register_kernel("scalar", lambda ths, y: 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            likelihood_curve(fam, "scalar", 0.0)
 
 
 class TestProportionality:
@@ -184,7 +204,7 @@ def test_argmax_follows_grid_permutation(values_and_order):
 class TestNeighborhoodLimit:
     def test_standard_gaussian_converges_to_density_at_zero(self):
         fam = ModelFamily((0.0,), SampleSpace(region=(-30.0, 30.0)))
-        fam.register_kernel("lebesgue", lambda th, y: float(norm.pdf(y)))
+        fam.register_kernel("lebesgue", lambda ths, y: np.full(len(ths), norm.logpdf(y)))
         nu = DominatingMeasure.lebesgue("lebesgue", (-30.0, 30.0))
         radii = [2.0 ** (-j) for j in range(4, 15)]
         ratios = neighborhood_density_limit(fam, nu, 0.0, 0.0, radii)
@@ -208,7 +228,8 @@ class TestNeighborhoodLimit:
 
         fam = ModelFamily((0.0,), SampleSpace(region=(-1.0, math.inf)),
                           interval_mass=interval_mass)
-        fam.register_kernel("mixed", lambda th, y: p1 if y == 0.0 else 0.7 * math.exp(-y) * (y > 0))
+        fam.register_kernel("mixed", lambda ths, y: np.full(
+            len(ths), math.log(p1) if y == 0.0 else math.log(0.7) - y if y > 0 else NEG_INF))
         nu = DominatingMeasure.counting_lebesgue_sum("mixed", (0.0,), (-1.0, math.inf))
         radii = [2.0 ** (-j) for j in range(4, 15)]
         ratios = neighborhood_density_limit(fam, nu, 0.0, 0.0, radii)
@@ -236,7 +257,7 @@ class TestNormalization:
 
     def test_gaussian_kernel_integrates_to_one(self):
         fam = ModelFamily((-1.0, 0.0, 2.0), SampleSpace(region=(-40.0, 40.0)))
-        fam.register_kernel("lebesgue", lambda th, y: float(norm.pdf(y - th)))
+        fam.register_kernel("lebesgue", lambda ths, y: norm.logpdf(y - np.asarray(ths)))
         nu = DominatingMeasure.lebesgue("lebesgue", (-40.0, 40.0))
         for th in fam.theta_grid:
             assert total_mass(fam, nu, th) == pytest.approx(1.0, abs=1e-6)

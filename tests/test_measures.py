@@ -146,7 +146,7 @@ def test_uniform_mixture_is_minimal_dominating(seed, n_atoms, n_members):
     q = build_minimal_dominating_measure(fam, fam.theta_grid)
     assert verify_dominance(q, fam)
     union_support = {a for a in atoms if any(
-        fam.log_kernel("counting", th, a) != float("-inf") for th in fam.theta_grid)}
+        fam.log_kernel("counting", fam.theta_grid, a) != float("-inf"))}
     w = {a: (rng.uniform(0.1, 1.0) if a in union_support or rng.uniform() < 0.5 else 0.0)
          for a in atoms}
     assert atomwise_abs_continuous(q.atom_masses, w, atoms)

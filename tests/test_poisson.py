@@ -31,6 +31,17 @@ class TestPointPattern:
         payload = json.loads(text)
         assert set(payload) == {"region", "points"}
 
+    @pytest.mark.parametrize("side", [(0.0, math.inf), (1.0, 0.0), (0.5, 0.5),
+                                      (0.0, math.nan), (-math.inf, 1.0)])
+    def test_bad_region_rejected(self, side):
+        with pytest.raises(ValueError, match="region side"):
+            PointPattern(region=((0.0, 1.0), side), locations=())
+
+    @pytest.mark.parametrize("side", ["[0.0, Infinity]", "[1.0, 0.0]", "[0.0, NaN]"])
+    def test_bad_region_rejected_from_json(self, side):
+        with pytest.raises(ValueError, match="region side"):
+            PointPattern.from_json(f'{{"region": [{side}], "points": []}}')
+
     def test_two_dimensional_volume(self):
         pat = PointPattern(region=((0.0, 2.0), (0.0, 3.0)), locations=((1.0, 1.0),))
         assert pat.volume == pytest.approx(6.0)
