@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -256,19 +257,20 @@ def sample_brownian_bridge(length: float, step: float, seed) -> np.ndarray:
 
 def _bridge_rows(rng, rows: int, m: int, dt: float) -> np.ndarray:
     """(rows, m + 1) standard bridges: Brownian paths pinned back to zero."""
-    return _fill_bridges(rng, math.sqrt(dt), np.linspace(0.0, 1.0, m + 1),
-                         np.empty((rows, m)), np.empty((rows, m + 1)))
+    walk = rng.standard_normal(out=np.empty((rows, m)))
+    return _pin_walk(walk, math.sqrt(dt), np.linspace(0.0, 1.0, m + 1),
+                     np.empty((rows, m + 1)))
 
 
-def _fill_bridges(rng, scale: float, frac: np.ndarray, walk: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """Fill `out` (rows, m + 1) with standard bridges, in place.
+def _pin_walk(walk: np.ndarray, scale: float, frac: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Fill `out` (rows, m + 1) with standard bridges from the standard
+    normals in `walk` (rows, m), in place.
 
-    `walk` (rows, m) receives the scaled normal increments and their cumsum;
-    the walk is then pinned back to zero, out = walk - frac * walk[:, -1]
-    after a leading zero column, with both ends exactly 0.
+    `walk` receives the scaled increments and their cumsum; the walk is then
+    pinned back to zero, out = walk - frac * walk[:, -1] after a leading
+    zero column, with both ends exactly 0.
     """
-    rng.standard_normal(out=walk)
     np.multiply(walk, scale, out=walk)
     np.cumsum(walk, axis=1, out=walk)
     tail = out[:, 1:]
@@ -378,6 +380,14 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     rows goes through the pipeline in row blocks with preallocated buffers:
     draw, scale, cumsum, pin, add the base line, integrand, trapezoid and
     weight. Weights are summed per chunk, in chunk order.
+
+    When there is more than one block, one worker thread draws block j + 1's
+    normals into the second of two walk buffers while this thread pins and
+    weighs block j (numpy releases the GIL while it fills). Block j's draw is
+    collected before block j + 1's is submitted, so the generator is used in
+    the same order as inline draws and the result does not depend on
+    scheduling. The worker lives for this call only, and a call with a
+    single block draws it inline and starts no thread.
     """
     dt = t / m
     scale = math.sqrt(dt)
@@ -386,7 +396,9 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     shifts = [drift_integral(spec, x1, th) - drift_integral(spec, x0, th) for th, x0, x1 in ends]
     width = min(chunk, n_replicates)
     block = max(1, min(width, _BLOCK_BYTES // (8 * (m + 1))))
-    walk = np.empty((block, m))
+    chunks = [min(chunk, n_replicates - done) for done in range(0, n_replicates, chunk)]
+    sizes = [min(block, rows - lo) for rows in chunks for lo in range(0, rows, block)]
+    walks = [np.empty((block, m)) for _ in range(min(2, len(sizes)))]
     bridge = np.empty((block, m + 1))
     path = np.empty((block, m + 1)) if len(ends) > 1 else bridge
     integrand = np.empty((block, m + 1))
@@ -394,32 +406,38 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     totals = [0.0] * len(ends)
     squares = [0.0] * len(ends)
     rng = np.random.default_rng(seed)
-    done = 0
-    while done < n_replicates:
-        rows = min(chunk, n_replicates - done)
-        for lo in range(0, rows, block):
-            b = min(block, rows - lo)
-            _fill_bridges(rng, scale, frac, walk[:b], bridge[:b])
-            for k, (theta, _, _) in enumerate(ends):
-                p, y, trap, w = path[:b], integrand[:b], walk[:b], weights[k, lo:lo + b]
-                np.add(bridge[:b], lines[k], out=p)
-                alpha = np.asarray(unit_drift(spec, p, theta), dtype=float)
-                alpha_prime = np.asarray(unit_drift_derivative(spec, p, theta), dtype=float)
-                np.multiply(alpha, alpha, out=y)
-                np.add(y, alpha_prime, out=y)
-                np.multiply(y, 0.5, out=y)
-                # np.trapezoid(y, dx=dt, axis=1), operation for operation;
-                # the walk buffer is free once the bridges are pinned
-                np.add(y[:, 1:], y[:, :-1], out=trap)
-                np.multiply(trap, dt, out=trap)
-                np.divide(trap, 2.0, out=trap)
-                np.add.reduce(trap, axis=1, out=w)
-                np.subtract(shifts[k], w, out=w)
-                np.exp(w, out=w)
-        for k, w in enumerate(weights[:, :rows]):
-            totals[k] += float(np.sum(w))
-            squares[k] += float(np.sum(w * w))
-        done += rows
+
+    def draw(j):
+        return rng.standard_normal(out=walks[j % 2][:sizes[j]])
+
+    j, ahead = 0, None
+    with ThreadPoolExecutor(max_workers=1) as pool:   # starts its thread at the first submit
+        for rows in chunks:
+            for lo in range(0, rows, block):
+                walk = draw(j) if ahead is None else ahead.result()
+                j += 1
+                ahead = pool.submit(draw, j) if j < len(sizes) else None
+                b = len(walk)
+                _pin_walk(walk, scale, frac, bridge[:b])
+                for k, (theta, _, _) in enumerate(ends):
+                    p, y, trap, w = path[:b], integrand[:b], walk, weights[k, lo:lo + b]
+                    np.add(bridge[:b], lines[k], out=p)
+                    alpha = np.asarray(unit_drift(spec, p, theta), dtype=float)
+                    alpha_prime = np.asarray(unit_drift_derivative(spec, p, theta), dtype=float)
+                    np.multiply(alpha, alpha, out=y)
+                    np.add(y, alpha_prime, out=y)
+                    np.multiply(y, 0.5, out=y)
+                    # np.trapezoid(y, dx=dt, axis=1), operation for operation;
+                    # the walk buffer is free once the bridges are pinned
+                    np.add(y[:, 1:], y[:, :-1], out=trap)
+                    np.multiply(trap, dt, out=trap)
+                    np.divide(trap, 2.0, out=trap)
+                    np.add.reduce(trap, axis=1, out=w)
+                    np.subtract(shifts[k], w, out=w)
+                    np.exp(w, out=w)
+            for k, w in enumerate(weights[:, :rows]):
+                totals[k] += float(np.sum(w))
+                squares[k] += float(np.sum(w * w))
     return list(zip(totals, squares))
 
 

@@ -141,6 +141,9 @@ def check_proportionality(curve1: LogLikelihoodCurve, curve2: LogLikelihoodCurve
     The log-ratio is taken over grid points where both curves are finite and
     centered at its median; the check passes when the worst deviation from
     the median is within tol and the -inf patterns of the curves coincide.
+    When no grid point has both curves finite, or a log-ratio overflows, the
+    ratio is undefined: the report has no constant, an infinite deviation,
+    and fails.
     """
     if curve1.thetas != curve2.thetas:
         raise ValueError("curves do not share a theta grid")
@@ -149,9 +152,9 @@ def check_proportionality(curve1: LogLikelihoodCurve, curve2: LogLikelihoodCurve
     finite1 = [v != NEG_INF for v in curve1.values]
     finite2 = [v != NEG_INF for v in curve2.values]
     patterns_match = finite1 == finite2
-    deltas = [a - b for a, b, f1, f2 in zip(curve1.values, curve2.values, finite1, finite2)
-              if f1 and f2]
-    if not deltas:
+    deltas = [float(a) - float(b)
+              for a, b, f1, f2 in zip(curve1.values, curve2.values, finite1, finite2) if f1 and f2]
+    if not deltas or not all(map(math.isfinite, deltas)):
         return ProportionalityReport(constant_log_ratio=None,
                                      max_deviation=math.inf, passed=False)
     center = float(np.median(deltas))

@@ -1,6 +1,10 @@
 """Space transform, bridges, joint pseudo-density, and the MC oracle."""
 
 import math
+import multiprocessing
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +27,6 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 def generic(spec: SDESpec) -> SDESpec:
     """Strip the closed forms so the quadrature/bracketing paths are used."""
-    from dataclasses import replace
     return replace(spec, eta=None, eta_inv=None, alpha_fn=None, dalpha_dx=None,
                    drift_integral_fn=None)
 
@@ -317,6 +320,91 @@ class TestBridgeMCBits:
             mle_theta(ou_spec(), obs, (0.8,), 99, 0.02, seed=1)
         with pytest.raises(ValueError, match="does not divide"):
             mle_theta(ou_spec(), obs, (0.8,), 200, 0.3, seed=1)
+
+
+def _counting_spec(spec: SDESpec, threads: list, fail_on: int | None = None) -> SDESpec:
+    """`spec` whose drift records the live thread count at each call and
+    raises at call number `fail_on` (one call per block and theta)."""
+    def alpha_fn(x, theta):
+        threads.append(threading.active_count())
+        if len(threads) == fail_on:
+            raise RuntimeError("drift failed")
+        return spec.alpha_fn(x, theta)
+    return replace(spec, alpha_fn=alpha_fn)
+
+
+def _send_estimate(conn, args, kwargs):
+    conn.send(transition_density_mc(*args, **kwargs))
+    conn.close()
+
+
+class TestBridgeMCPipeline:
+    """The block draws run one block ahead on a single worker thread that
+    lives for one call only."""
+
+    GOLDEN = TestBridgeMCBits.GOLDEN
+
+    def test_one_worker_for_many_blocks_none_for_one(self):
+        before = threading.active_count()
+        threads = []
+        args, kwargs, want = self.GOLDEN["ragged-fine"]
+        assert transition_density_mc(_counting_spec(args[0], threads), *args[1:], **kwargs) == want
+        assert len(threads) > 2 and set(threads) == {before + 1}
+        threads.clear()
+        obs = ObservationSet(times=(0.0, 0.5, 1.0), values=(0.2, 0.1, -0.3))
+        mle_theta(_counting_spec(ou_spec(), threads), obs, (0.5, 1.0), 400, 0.01, seed=3)
+        assert len(threads) == 4 and set(threads) == {before}
+        assert threading.active_count() == before
+
+    def test_error_in_a_block_propagates_and_stops_the_worker(self):
+        before = threading.active_count()
+        args, kwargs, _ = self.GOLDEN["ou"]
+        threads = []
+        with pytest.raises(RuntimeError, match="drift failed"):
+            transition_density_mc(_counting_spec(args[0], threads, fail_on=2), *args[1:],
+                                  **kwargs)
+        assert len(threads) == 2 and threads[0] == before + 1
+        assert threading.active_count() == before
+        args, kwargs, want = self.GOLDEN["ou"]
+        assert transition_density_mc(*args, **kwargs) == want
+
+    def test_concurrent_callers_under_fast_switching(self):
+        names = ("ragged-fine", "ragged-coarse", "one-row-blocks")
+        results = {}
+
+        def run(name):
+            args, kwargs, _ = self.GOLDEN[name]
+            results[name] = transition_density_mc(*args, **kwargs)
+
+        callers = [threading.Thread(target=run, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == {name: self.GOLDEN[name][2] for name in names}
+
+    def test_forked_child_repeats_the_parent(self):
+        args, kwargs, want = self.GOLDEN["ragged-fine"]
+        assert transition_density_mc(*args, **kwargs) == want
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_estimate, args=(send, args, kwargs))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "forked child did not finish"
+            assert recv.recv() == want
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
 
 
 class TestMLE:

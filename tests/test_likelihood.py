@@ -117,6 +117,15 @@ class TestProportionality:
         report = check_proportionality(c1, c2, 1e-8)
         assert report.constant_log_ratio is None and not report.passed
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [(1e308, 1e308), (np.float64(1e308), np.float64(1e308))])
+    def test_overflowing_log_ratio_reports_undefined_and_fails(self, values):
+        c1 = LogLikelihoodCurve("a", "o", (0.1, 0.2), values)
+        c2 = LogLikelihoodCurve("b", "o", (0.1, 0.2), tuple(-v for v in values))
+        report = check_proportionality(c1, c2, 1e-8)
+        assert report.constant_log_ratio is None
+        assert report.max_deviation == math.inf and not report.passed
+
     def test_mismatched_finiteness_pattern_fails(self):
         c1 = LogLikelihoodCurve("a", "o", (0.1, 0.2, 0.3), (1.0, 2.0, NEG_INF))
         c2 = LogLikelihoodCurve("b", "o", (0.1, 0.2, 0.3), (1.0, 2.0, 3.0))
