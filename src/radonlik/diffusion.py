@@ -97,30 +97,19 @@ def observations_to_csv(obs: ObservationSet, path) -> None:
             writer.writerow([repr(t), repr(y)])
 
 
-@dataclass(frozen=True)
-class TransformedObservations:
+def transform_observations(spec: "SDESpec", obs: "ObservationSet", theta) -> tuple:
     """Observation values pushed through the space transform at one theta.
 
     The transform is strictly increasing in y (sigma > 0), so the transformed
     values preserve the ordering of ties-free observations; violations signal
     a broken sigma.
     """
-
-    theta: object
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) < 2:
-            raise ValueError("need at least two transformed observations")
-
-
-def transform_observations(spec: "SDESpec", obs: "ObservationSet", theta) -> TransformedObservations:
     x = tuple(lamperti(spec, y, theta) for y in obs.values)
     pairs = sorted(zip(obs.values, x))
     for (y1, x1), (y2, x2) in zip(pairs, pairs[1:]):
         if y1 < y2 and not x1 < x2:
             raise ValueError("space transform is not strictly increasing; check sigma")
-    return TransformedObservations(theta=theta, values=x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -130,6 +119,12 @@ class BridgeSegment:
     t0: float
     t1: float
     values: np.ndarray   # shape (m + 1,), endpoints exactly 0
+
+    def __post_init__(self):
+        if not self.t1 > self.t0:
+            raise ValueError("bridge segment needs t1 > t0")
+        if np.ndim(self.values) != 1 or len(self.values) < 2 or not np.all(np.isfinite(self.values)):
+            raise ValueError("bridge values must be 1-D, finite and at least two entries long")
 
     @property
     def n_steps(self) -> int:
@@ -230,20 +225,6 @@ def drift_integral(spec: SDESpec, u: float, theta) -> float:
 
 # -- bridges -------------------------------------------------------------------
 
-def remove_linear(values: np.ndarray, x0: float, x1: float) -> np.ndarray:
-    """Subtract the endpoint interpolation; exact zeros at matching endpoints."""
-    values = np.asarray(values, dtype=float)
-    frac = np.linspace(0.0, 1.0, len(values))
-    return values - (1.0 - frac) * x0 - frac * x1
-
-
-def add_linear(values: np.ndarray, x0: float, x1: float) -> np.ndarray:
-    """Inverse of remove_linear."""
-    values = np.asarray(values, dtype=float)
-    frac = np.linspace(0.0, 1.0, len(values))
-    return values + (1.0 - frac) * x0 + frac * x1
-
-
 def sample_brownian_bridge(length: float, step: float, seed) -> np.ndarray:
     """Standard Brownian bridge on a uniform grid; endpoints exactly 0."""
     if length <= 0 or step <= 0:
@@ -298,32 +279,61 @@ def _seed_int(seed) -> int:
 
 # -- joint density of observations and bridges ---------------------------------
 
+def _drift_corrections(spec: SDESpec, bridge_rows: np.ndarray, ends: Sequence, dt: float,
+                       out: np.ndarray, path: np.ndarray, integrand: np.ndarray,
+                       trap: np.ndarray) -> None:
+    """Girsanov drift correction: for each (theta, x0, x1) in `ends`, out[k]
+    receives, per row of the (rows, m + 1) zero-pinned `bridge_rows`, the
+    trapezoid sum with step `dt` of (alpha^2 + alpha')/2 along the row
+    de-pinned onto the line x0 + frac * (x1 - x0). `path`, `integrand`
+    (rows, m + 1) and `trap` (rows, m) are work buffers; `path` may alias
+    `bridge_rows` only for one theta on scratch bridges.
+    """
+    frac = np.linspace(0.0, 1.0, bridge_rows.shape[1])
+    for k, (theta, x0, x1) in enumerate(ends):
+        np.add(bridge_rows, x0 + frac * (x1 - x0), out=path)
+        # each drift array is freed once used: held to return, glibc gave their
+        # pages back to the OS every call (29x the page faults, MC 25% slower)
+        np.square(unit_drift(spec, path, theta), out=integrand)
+        np.add(integrand, unit_drift_derivative(spec, path, theta), out=integrand)
+        np.multiply(integrand, 0.5, out=integrand)
+        # np.trapezoid(integrand, dx=dt, axis=1), operation for operation
+        np.add(integrand[:, 1:], integrand[:, :-1], out=trap)
+        np.multiply(trap, dt, out=trap)
+        np.divide(trap, 2.0, out=trap)
+        np.add.reduce(trap, axis=1, out=out[k])
+
+
 def obs_bridge_log_density(spec: SDESpec, obs: ObservationSet, bridges: BridgeSet,
-                           theta) -> float:
-    """Joint log pseudo-density of (observations, zero-pinned bridges).
+                           thetas: Sequence) -> np.ndarray:
+    """Joint log pseudo-density of (observations, zero-pinned bridges), one
+    value per theta in `thetas`; the bridge segments span the observation intervals.
 
     Per interval: the transform Jacobian at the right endpoint, the standard
     Gaussian density of the standardized transformed increment, and the
     drift correction exp{A(x_n) - A(x_0) - integral of (alpha^2 + alpha')/2
     along the de-pinned path}, the integral by trapezoid on the bridge grid.
     """
-    if len(bridges.segments) != obs.n_intervals:
-        raise ValueError("bridge set must cover every observation interval")
-    x = transform_observations(spec, obs, theta).values
-    value = 0.0
-    for i in range(1, len(obs.values)):
-        dt = obs.times[i] - obs.times[i - 1]
-        z = (x[i] - x[i - 1]) / math.sqrt(dt)
-        value += math.log(lamperti_derivative(spec, obs.values[i], theta))
-        value += -0.5 * z * z - LOG_SQRT_2PI
-    value += drift_integral(spec, x[-1], theta) - drift_integral(spec, x[0], theta)
+    if [(seg.t0, seg.t1) for seg in bridges.segments] != list(zip(obs.times, obs.times[1:])):
+        raise ValueError("bridge segments must span the observation intervals, one each")
+    x = [transform_observations(spec, obs, theta) for theta in thetas]
+    values = np.empty(len(thetas))
+    for k, (theta, xk) in enumerate(zip(thetas, x)):
+        value = 0.0
+        for i in range(1, len(obs.values)):
+            dt = obs.times[i] - obs.times[i - 1]
+            z = (xk[i] - xk[i - 1]) / math.sqrt(dt)
+            value += math.log(lamperti_derivative(spec, obs.values[i], theta))
+            value += -0.5 * z * z - LOG_SQRT_2PI
+        values[k] = value + (drift_integral(spec, xk[-1], theta) - drift_integral(spec, xk[0], theta))
+    corrections = np.empty((len(thetas), 1))
     for i, seg in enumerate(bridges.segments):
-        path = add_linear(seg.values, x[i], x[i + 1])
-        alpha = np.asarray(unit_drift(spec, path, theta), dtype=float)
-        alpha_prime = np.asarray(unit_drift_derivative(spec, path, theta), dtype=float)
-        integrand = 0.5 * (alpha * alpha + alpha_prime)
-        value -= float(np.trapezoid(integrand, dx=seg.step))
-    return value
+        rows = np.asarray(seg.values, dtype=float).reshape(1, -1)
+        _drift_corrections(spec, rows, [(th, xk[i], xk[i + 1]) for th, xk in zip(thetas, x)],
+                           seg.step, corrections, np.empty_like(rows), np.empty_like(rows),
+                           np.empty((1, seg.n_steps)))
+        values -= corrections[:, 0]
+    return values
 
 
 def bridge_tilt_log_weight(obs: ObservationSet, bridges: BridgeSet) -> float:
@@ -340,7 +350,7 @@ def diffusion_model_family(spec: SDESpec, theta_grid: Sequence) -> ModelFamily:
     family = ModelFamily(theta_grid, SampleSpace(label="obs-and-bridges"))
 
     def joint(thetas, ob):
-        return np.array([obs_bridge_log_density(spec, ob[0], ob[1], th) for th in thetas])
+        return obs_bridge_log_density(spec, ob[0], ob[1], thetas)
 
     family.register_kernel(MEASURE_OBS_BRIDGE, joint)
     family.register_kernel(MEASURE_OBS_BRIDGE_TILTED,
@@ -378,8 +388,8 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     same pinned Brownian bridges, drawn once from `seed`; a theta's result
     is the one a separate run with that seed gives. Each chunk of `chunk`
     rows goes through the pipeline in row blocks with preallocated buffers:
-    draw, scale, cumsum, pin, add the base line, integrand, trapezoid and
-    weight. Weights are summed per chunk, in chunk order.
+    draw, scale, cumsum, pin, `_drift_corrections` for every theta, and the
+    weights of all thetas at once. Weights are summed per chunk, in chunk order.
 
     When there is more than one block, one worker thread draws block j + 1's
     normals into the second of two walk buffers while this thread pins and
@@ -392,8 +402,8 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     dt = t / m
     scale = math.sqrt(dt)
     frac = np.linspace(0.0, 1.0, m + 1)
-    lines = [x0 + frac * (x1 - x0) for _, x0, x1 in ends]
-    shifts = [drift_integral(spec, x1, th) - drift_integral(spec, x0, th) for th, x0, x1 in ends]
+    shifts = np.array([[drift_integral(spec, x1, th) - drift_integral(spec, x0, th)]
+                       for th, x0, x1 in ends])
     width = min(chunk, n_replicates)
     block = max(1, min(width, _BLOCK_BYTES // (8 * (m + 1))))
     chunks = [min(chunk, n_replicates - done) for done in range(0, n_replicates, chunk)]
@@ -418,23 +428,12 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
                 j += 1
                 ahead = pool.submit(draw, j) if j < len(sizes) else None
                 b = len(walk)
+                w = weights[:, lo:lo + b]
                 _pin_walk(walk, scale, frac, bridge[:b])
-                for k, (theta, _, _) in enumerate(ends):
-                    p, y, trap, w = path[:b], integrand[:b], walk, weights[k, lo:lo + b]
-                    np.add(bridge[:b], lines[k], out=p)
-                    alpha = np.asarray(unit_drift(spec, p, theta), dtype=float)
-                    alpha_prime = np.asarray(unit_drift_derivative(spec, p, theta), dtype=float)
-                    np.multiply(alpha, alpha, out=y)
-                    np.add(y, alpha_prime, out=y)
-                    np.multiply(y, 0.5, out=y)
-                    # np.trapezoid(y, dx=dt, axis=1), operation for operation;
-                    # the walk buffer is free once the bridges are pinned
-                    np.add(y[:, 1:], y[:, :-1], out=trap)
-                    np.multiply(trap, dt, out=trap)
-                    np.divide(trap, 2.0, out=trap)
-                    np.add.reduce(trap, axis=1, out=w)
-                    np.subtract(shifts[k], w, out=w)
-                    np.exp(w, out=w)
+                # the walk buffer is free once the bridges are pinned
+                _drift_corrections(spec, bridge[:b], ends, dt, w, path[:b], integrand[:b], walk)
+                np.subtract(shifts, w, out=w)
+                np.exp(w, out=w)
             for k, w in enumerate(weights[:, :rows]):
                 totals[k] += float(np.sum(w))
                 squares[k] += float(np.sum(w * w))
@@ -480,7 +479,7 @@ def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
     theta_grid = tuple(theta_grid)
     if not theta_grid:
         raise ValueError("theta grid must be non-empty")
-    x = [transform_observations(spec, obs, theta).values for theta in theta_grid]
+    x = [transform_observations(spec, obs, theta) for theta in theta_grid]
     curve = [0.0] * len(theta_grid)
     for i in range(obs.n_intervals):
         live = [k for k, loglik in enumerate(curve) if loglik != NEG_INF]

@@ -422,7 +422,7 @@ def run_diffusion(config: dict) -> tuple[Report, Curves]:
         obs = diffusion.simulate_ou(1.0, 0.0, tuple(np.linspace(0.0, 2.5, 6)),
                                     _child_seed(rng))
     bridges = diffusion.sample_bridge_set(obs.times, n_steps=64, seed=_child_seed(rng))
-    got = diffusion.obs_bridge_log_density(bm, obs, bridges, 0.0)
+    [got] = diffusion.obs_bridge_log_density(bm, obs, bridges, (0.0,))
     want = sum(
         -0.5 * ((obs.values[i] - obs.values[i - 1]) / math.sqrt(obs.times[i] - obs.times[i - 1])) ** 2
         - diffusion.LOG_SQRT_2PI
@@ -449,8 +449,8 @@ def run_diffusion(config: dict) -> tuple[Report, Curves]:
     # step of 1e-3 times the interval scale, where halving is safely inside
     # the stated budget despite the path's quadratic variation
     coarse = diffusion.sample_bridge_set(obs.times, n_steps=1000, seed=_child_seed(rng))
-    value_c = diffusion.obs_bridge_log_density(ou, obs, coarse, 1.0)
-    value_f = diffusion.obs_bridge_log_density(ou, obs, _refine(coarse, 2), 1.0)
+    [value_c] = diffusion.obs_bridge_log_density(ou, obs, coarse, (1.0,))
+    [value_f] = diffusion.obs_bridge_log_density(ou, obs, _refine(coarse, 2), (1.0,))
     report.add("trapezoid-refinement", abs(value_f - value_c) < 1e-4,
                change=abs(value_f - value_c))
     return report, (c1, c2)

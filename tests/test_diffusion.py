@@ -12,12 +12,12 @@ import pytest
 from radonlik import argmax_invariance, check_proportionality, diffusion, likelihood_curve
 from radonlik.diffusion import (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED,
                                 BridgeSegment, BridgeSet, ObservationSet, SDESpec,
-                                _bridge_rows, add_linear, brownian_drift_spec,
+                                _bridge_rows, _drift_corrections, brownian_drift_spec,
                                 diffusion_model_family, drift_integral, invert_lamperti,
                                 lamperti, lamperti_derivative, logistic_spec, mle_theta,
                                 obs_bridge_log_density, observations_from_csv,
                                 observations_to_csv, ou_exact_transition_density,
-                                ou_spec, remove_linear, sample_bridge_set,
+                                ou_spec, sample_bridge_set,
                                 sample_brownian_bridge, simulate_ou,
                                 transform_observations, transition_density_mc,
                                 unit_drift, unit_drift_derivative)
@@ -68,7 +68,7 @@ class TestLamperti:
         obs = ObservationSet(times=(0.0, 1.0, 2.0), values=(0.5, 2.0, 1.0))
         trans = transform_observations(logistic_spec(), obs, 0.9)
         order_y = np.argsort(obs.values)
-        order_x = np.argsort(trans.values)
+        order_x = np.argsort(trans)
         assert np.array_equal(order_y, order_x)
 
 
@@ -119,25 +119,6 @@ class TestDriftIntegral:
         assert got == pytest.approx(spec.drift_integral_fn(1.3, 0.8), abs=1e-9)
 
 
-class TestBridgeTransform:
-    def test_linear_path_maps_to_zero(self):
-        x0, x1 = 0.4, 1.2
-        path = add_linear(np.zeros(9), x0, x1)
-        back = remove_linear(path, x0, x1)
-        assert back[0] == 0.0 and back[-1] == 0.0
-        assert np.max(np.abs(back)) <= 1e-14
-
-    def test_zero_endpoints_is_identity(self):
-        values = np.sin(np.linspace(0.0, 3.0, 11))
-        assert np.array_equal(remove_linear(values, 0.0, 0.0), values)
-
-    def test_round_trip_tight(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=33)
-        back = remove_linear(add_linear(values, -0.7, 2.2), -0.7, 2.2)
-        assert np.max(np.abs(back - values)) <= 1e-14
-
-
 class TestBridgeSampling:
     def test_endpoints_exactly_zero(self):
         values = sample_brownian_bridge(1.0, 0.125, seed=0)
@@ -169,6 +150,18 @@ class TestBridgeSampling:
         with pytest.raises(ValueError):
             BridgeSet(segments=(seg,))
 
+    @pytest.mark.parametrize("t0, t1, values, match", [
+        (0.0, 1.0, np.zeros((2, 3)), "1-D"),
+        (0.0, 1.0, np.zeros(1), "two entries"),
+        (0.0, 1.0, np.array([0.0, math.nan, 0.0]), "finite"),
+        (0.0, 1.0, np.array([0.0, math.inf, 0.0]), "finite"),
+        (1.0, 1.0, np.zeros(3), "t1 > t0"),
+        (1.0, 0.5, np.zeros(3), "t1 > t0"),
+    ])
+    def test_bad_segment_rejected(self, t0, t1, values, match):
+        with pytest.raises(ValueError, match=match):
+            BridgeSegment(t0=t0, t1=t1, values=values)
+
 
 class TestJointDensity:
     def make_obs(self):
@@ -178,7 +171,7 @@ class TestJointDensity:
         obs = self.make_obs()
         bridges = sample_bridge_set(obs.times, n_steps=40, seed=2)
         spec = brownian_drift_spec()
-        got = obs_bridge_log_density(spec, obs, bridges, 0.0)
+        [got] = obs_bridge_log_density(spec, obs, bridges, (0.0,))
         want = sum(-0.5 * ((obs.values[i] - obs.values[i - 1])
                            / math.sqrt(obs.times[i] - obs.times[i - 1])) ** 2 - LOG_SQRT_2PI
                    for i in range(1, 4))
@@ -187,15 +180,68 @@ class TestJointDensity:
     def test_vanishing_mean_reversion_matches_zero_drift(self):
         obs = self.make_obs()
         bridges = sample_bridge_set(obs.times, n_steps=40, seed=2)
-        flat = obs_bridge_log_density(brownian_drift_spec(), obs, bridges, 0.0)
-        nearly = obs_bridge_log_density(ou_spec(), obs, bridges, 1e-9)
+        [flat] = obs_bridge_log_density(brownian_drift_spec(), obs, bridges, (0.0,))
+        [nearly] = obs_bridge_log_density(ou_spec(), obs, bridges, (1e-9,))
         assert nearly == pytest.approx(flat, abs=1e-8)
 
     def test_missing_bridge_segment_rejected(self):
         obs = self.make_obs()
         bridges = sample_bridge_set(obs.times[:-1], n_steps=40, seed=2)
         with pytest.raises(ValueError):
-            obs_bridge_log_density(ou_spec(), obs, bridges, 1.0)
+            obs_bridge_log_density(ou_spec(), obs, bridges, (1.0,))
+
+    def test_bridges_on_other_times_rejected(self):
+        obs = self.make_obs()
+        bridges = sample_bridge_set((0.0, 2.0, 4.0, 9.0), n_steps=40, seed=2)
+        with pytest.raises(ValueError, match="observation intervals"):
+            obs_bridge_log_density(ou_spec(), obs, bridges, (1.0,))
+
+    @pytest.mark.parametrize("spec, values", [
+        (ou_spec(), (0.0, 0.3, -0.2, 0.5)),
+        (logistic_spec(), (1.2, 0.7, 1.5, 1.1)),
+        (generic(ou_spec()), (0.0, 0.3, -0.2, 0.5)),
+    ])
+    def test_theta_array_equals_one_theta_calls(self, spec, values):
+        obs = ObservationSet(times=(0.0, 0.5, 1.0, 1.8), values=values)
+        bridges = sample_bridge_set(obs.times, n_steps=8, seed=4)
+        thetas = (0.25, 0.9, 2.0)
+        got = obs_bridge_log_density(spec, obs, bridges, thetas)
+        want = [obs_bridge_log_density(spec, obs, bridges, (th,))[0] for th in thetas]
+        assert got.tolist() == want
+
+    def test_drift_correction_is_the_trapezoid_rule(self):
+        m, dt, spec = 300, 0.004, logistic_spec()
+        rows = _bridge_rows(np.random.default_rng(5), 4, m, dt)
+        ends = ((0.7, 0.1, -0.3), (1.9, 0.4, 0.2))
+        out = np.empty((2, 4))
+        _drift_corrections(spec, rows.copy(), ends, dt, out, np.empty_like(rows),
+                           np.empty_like(rows), np.empty((4, m)))
+        frac = np.linspace(0.0, 1.0, m + 1)
+        for k, (theta, x0, x1) in enumerate(ends):
+            for r, bridge in enumerate(rows):
+                path = bridge + (x0 + frac * (x1 - x0))
+                alpha = unit_drift(spec, path, theta)
+                integrand = 0.5 * (alpha * alpha + unit_drift_derivative(spec, path, theta))
+                assert out[k, r] == np.trapezoid(integrand, dx=dt)
+
+    def test_one_density_call_per_curve(self, monkeypatch):
+        obs = self.make_obs()
+        bridges = sample_bridge_set(obs.times, n_steps=64, seed=9)
+        before = [seg.values.copy() for seg in bridges.segments]
+        calls = []
+        density = diffusion.obs_bridge_log_density
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return density(*args)
+
+        monkeypatch.setattr(diffusion, "obs_bridge_log_density", counted)
+        family = diffusion_model_family(logistic_spec(), tuple(np.linspace(0.25, 2.0, 8)))
+        positive = ObservationSet(times=obs.times, values=(1.2, 0.7, 1.5, 1.1))
+        for measure in (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED):
+            likelihood_curve(family, measure, (positive, bridges))
+        assert calls == [8, 8]
+        assert all(np.array_equal(seg.values, old) for seg, old in zip(bridges.segments, before))
 
     def test_fixed_bridge_proportionality(self):
         obs = self.make_obs()
@@ -299,7 +345,7 @@ class TestBridgeMCBits:
         _, curve = mle_theta(spec, obs, grid, n, frac, seed=seed)
         want = []
         for theta in grid:
-            x = transform_observations(spec, obs, theta).values
+            x = transform_observations(spec, obs, theta)
             loglik = 0.0
             for i in range(obs.n_intervals):
                 t = obs.times[i + 1] - obs.times[i]
