@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .likelihood import NEG_INF, LogLikelihoodCurve, ModelFamily, SampleSpace, argmax_indices
 
@@ -30,25 +28,23 @@ MEASURE_OBS_BRIDGE_TILTED = "obs-bridge-tilted"
 
 @dataclass(frozen=True)
 class SDESpec:
-    """dY = a(Y, theta) dt + sigma(Y, theta) dW on a state interval.
+    """dY = a(Y, theta) dt + sigma(Y, theta) dW on a state interval, given by
+    the closed forms of its unit-diffusion transform.
 
-    Closed forms for the space transform, its inverse, the unit-diffusion
-    drift, its x-derivative, and the drift integral may be supplied; generic
-    quadrature / bracketing routes are used otherwise. sigma must stay
-    bounded away from zero on the working interval.
+    eta is the space transform, an antiderivative of 1/sigma in y, so
+    X = eta(Y) has unit diffusion. alpha is the drift of X,
+    a(u)/sigma(u) - sigma'(u)/2 at u = eta^-1(x), and A(x) is the integral
+    of alpha from 0 to x. sigma must stay bounded away from zero on the
+    state interval.
     """
 
     name: str
-    drift: Callable              # a(y, theta)
     sigma: Callable              # sigma(y, theta) > 0
-    dsigma_dy: Callable          # d sigma / d y, closed form
     state: tuple[float, float]
-    base_point: float
-    eta: Callable | None = None          # closed-form transform
-    eta_inv: Callable | None = None      # closed-form inverse, vectorized in x
-    alpha_fn: Callable | None = None     # closed-form unit-diffusion drift (x, theta)
-    dalpha_dx: Callable | None = None    # closed-form d alpha / d x
-    drift_integral_fn: Callable | None = None   # closed-form A(u, theta)
+    eta: Callable                # x = eta(y, theta)
+    alpha_fn: Callable           # alpha(x, theta), vectorized in x
+    dalpha_dx: Callable          # d alpha / d x, vectorized in x
+    drift_integral_fn: Callable  # A(x, theta)
 
 
 @dataclass(frozen=True)
@@ -148,79 +144,15 @@ class BridgeSet:
 # -- space transform ----------------------------------------------------------
 
 def lamperti(spec: SDESpec, y_val: float, theta) -> float:
-    """Space transform x = integral of 1/sigma from the base point to y."""
+    """Space transform x = eta(y) of a value in the state interval."""
     lo, hi = spec.state
     if not lo <= y_val <= hi:
         raise ValueError(f"value {y_val} outside state interval {spec.state}")
-    if spec.eta is not None:
-        return float(spec.eta(y_val, theta))
-    value, _ = quad(lambda u: 1.0 / spec.sigma(u, theta), spec.base_point, y_val,
-                    epsabs=1e-12, limit=400)
-    return value
+    return float(spec.eta(y_val, theta))
 
 
 def lamperti_derivative(spec: SDESpec, y_val: float, theta) -> float:
     return 1.0 / spec.sigma(y_val, theta)
-
-
-def invert_lamperti(spec: SDESpec, x_val, theta):
-    """Monotone inversion of the transform; closed form when registered."""
-    if spec.eta_inv is not None:
-        return spec.eta_inv(x_val, theta)
-    if np.ndim(x_val) > 0:
-        return np.array([invert_lamperti(spec, float(x), theta) for x in np.ravel(x_val)]
-                        ).reshape(np.shape(x_val))
-
-    def f(u):
-        return lamperti(spec, u, theta) - x_val
-
-    lo, hi = spec.state
-    a = b = spec.base_point
-    step = 1.0
-    while f(a) > 0.0:
-        a = max(lo + 1e-12 if math.isfinite(lo) else a - step, a - step)
-        step *= 2.0
-        if step > 1e12:
-            raise ValueError("bracket search failed on the lower side")
-    step = 1.0
-    while f(b) < 0.0:
-        b = min(hi - 1e-12 if math.isfinite(hi) else b + step, b + step)
-        step *= 2.0
-        if step > 1e12:
-            raise ValueError("bracket search failed on the upper side")
-    if a == b:
-        return a
-    return brentq(f, a, b, xtol=1e-12)
-
-
-def unit_drift(spec: SDESpec, x_val, theta):
-    """Drift of the transformed unit-diffusion process at x.
-
-    With u the preimage of x, alpha(x) = a(u)/sigma(u) - sigma'(u)/2; this is
-    the standard drift of the unit-diffusion process obtained from the space
-    transform.
-    """
-    if spec.alpha_fn is not None:
-        return spec.alpha_fn(x_val, theta)
-    u = invert_lamperti(spec, x_val, theta)
-    return spec.drift(u, theta) / spec.sigma(u, theta) - 0.5 * spec.dsigma_dy(u, theta)
-
-
-def unit_drift_derivative(spec: SDESpec, x_val, theta, h: float = 1e-5):
-    if spec.dalpha_dx is not None:
-        return spec.dalpha_dx(x_val, theta)
-    return (unit_drift(spec, x_val + h, theta) - unit_drift(spec, x_val - h, theta)) / (2.0 * h)
-
-
-def drift_integral(spec: SDESpec, u: float, theta) -> float:
-    """A(u) = integral of the unit-diffusion drift from 0 to u."""
-    if spec.drift_integral_fn is not None:
-        return float(spec.drift_integral_fn(u, theta))
-    if u == 0.0:
-        return 0.0
-    value, _ = quad(lambda z: float(unit_drift(spec, z, theta)), 0.0, u,
-                    epsabs=1e-12, limit=400)
-    return value
 
 
 # -- bridges -------------------------------------------------------------------
@@ -267,14 +199,16 @@ def sample_bridge_set(times: Sequence[float], n_steps: int, seed) -> BridgeSet:
     segments = []
     for i in range(len(times) - 1):
         t0, t1 = times[i], times[i + 1]
-        rng = np.random.default_rng([_seed_int(seed), i])
+        rng = np.random.default_rng(_interval_seed(seed, i))
         values = _bridge_rows(rng, 1, n_steps, (t1 - t0) / n_steps)[0]
         segments.append(BridgeSegment(t0=t0, t1=t1, values=values))
     return BridgeSet(segments=tuple(segments))
 
 
-def _seed_int(seed) -> int:
-    return int(seed) if np.isscalar(seed) else int(seed[0])
+def _interval_seed(seed, i: int) -> list:
+    """Seed of interval i's stream: [seed, i] for an int seed, [*seed, i]
+    for a sequence."""
+    return [int(seed), i] if np.isscalar(seed) else [*seed, i]
 
 
 # -- joint density of observations and bridges ---------------------------------
@@ -294,8 +228,8 @@ def _drift_corrections(spec: SDESpec, bridge_rows: np.ndarray, ends: Sequence, d
         np.add(bridge_rows, x0 + frac * (x1 - x0), out=path)
         # each drift array is freed once used: held to return, glibc gave their
         # pages back to the OS every call (29x the page faults, MC 25% slower)
-        np.square(unit_drift(spec, path, theta), out=integrand)
-        np.add(integrand, unit_drift_derivative(spec, path, theta), out=integrand)
+        np.square(spec.alpha_fn(path, theta), out=integrand)
+        np.add(integrand, spec.dalpha_dx(path, theta), out=integrand)
         np.multiply(integrand, 0.5, out=integrand)
         # np.trapezoid(integrand, dx=dt, axis=1), operation for operation
         np.add(integrand[:, 1:], integrand[:, :-1], out=trap)
@@ -325,7 +259,8 @@ def obs_bridge_log_density(spec: SDESpec, obs: ObservationSet, bridges: BridgeSe
             z = (xk[i] - xk[i - 1]) / math.sqrt(dt)
             value += math.log(lamperti_derivative(spec, obs.values[i], theta))
             value += -0.5 * z * z - LOG_SQRT_2PI
-        values[k] = value + (drift_integral(spec, xk[-1], theta) - drift_integral(spec, xk[0], theta))
+        values[k] = value + (spec.drift_integral_fn(xk[-1], theta)
+                             - spec.drift_integral_fn(xk[0], theta))
     corrections = np.empty((len(thetas), 1))
     for i, seg in enumerate(bridges.segments):
         rows = np.asarray(seg.values, dtype=float).reshape(1, -1)
@@ -402,7 +337,7 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     dt = t / m
     scale = math.sqrt(dt)
     frac = np.linspace(0.0, 1.0, m + 1)
-    shifts = np.array([[drift_integral(spec, x1, th) - drift_integral(spec, x0, th)]
+    shifts = np.array([[spec.drift_integral_fn(x1, th) - spec.drift_integral_fn(x0, th)]
                        for th, x0, x1 in ends])
     width = min(chunk, n_replicates)
     block = max(1, min(width, _BLOCK_BYTES // (8 * (m + 1))))
@@ -489,7 +424,7 @@ def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
         m = _mc_steps(dt_i, dt_i * step_fraction, n_replicates)
         ends = tuple((theta_grid[k], x[k][i], x[k][i + 1]) for k in live)
         sums = _bridge_weight_sums(spec, ends, dt_i, m, n_replicates,
-                                   [_seed_int(seed), i], _CHUNK_ROWS)
+                                   _interval_seed(seed, i), _CHUNK_ROWS)
         for k, (theta, x0, x1), (total, total_sq) in zip(live, ends, sums):
             est, _ = _density_from_sums(total, total_sq, n_replicates, dt_i, x0, x1)
             if est <= 0.0:
@@ -508,13 +443,9 @@ def ou_spec(sigma0: float = 1.0) -> SDESpec:
     """Mean-reverting drift -theta y with constant diffusion sigma0."""
     return SDESpec(
         name="ou",
-        drift=lambda y, th: -th * y,
         sigma=lambda y, th: sigma0,
-        dsigma_dy=lambda y, th: 0.0,
         state=(-math.inf, math.inf),
-        base_point=0.0,
         eta=lambda y, th: y / sigma0,
-        eta_inv=lambda x, th: sigma0 * x,
         alpha_fn=lambda x, th: -th * x,
         dalpha_dx=lambda x, th: -th + 0.0 * x,
         drift_integral_fn=lambda u, th: -0.5 * th * u * u,
@@ -525,13 +456,9 @@ def brownian_drift_spec() -> SDESpec:
     """Constant drift theta with unit diffusion."""
     return SDESpec(
         name="brownian-drift",
-        drift=lambda y, th: th,
         sigma=lambda y, th: 1.0,
-        dsigma_dy=lambda y, th: 0.0,
         state=(-math.inf, math.inf),
-        base_point=0.0,
         eta=lambda y, th: y,
-        eta_inv=lambda x, th: x,
         alpha_fn=lambda x, th: th + 0.0 * x,
         dalpha_dx=lambda x, th: 0.0 * x,
         drift_integral_fn=lambda u, th: th * u,
@@ -542,13 +469,9 @@ def logistic_spec() -> SDESpec:
     """Logistic-type drift theta y (1 - y) with multiplicative sigma(u) = u."""
     return SDESpec(
         name="logistic",
-        drift=lambda y, th: th * y * (1.0 - y),
         sigma=lambda y, th: y,
-        dsigma_dy=lambda y, th: 1.0,
         state=(1e-9, math.inf),
-        base_point=1.0,
         eta=lambda y, th: math.log(y),
-        eta_inv=lambda x, th: np.exp(x),
         alpha_fn=lambda x, th: th * (1.0 - np.exp(x)) - 0.5,
         dalpha_dx=lambda x, th: -th * np.exp(x),
         drift_integral_fn=lambda u, th: th * (u - math.exp(u) + 1.0) - 0.5 * u,

@@ -5,30 +5,90 @@ import multiprocessing
 import sys
 import threading
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from radonlik import argmax_invariance, check_proportionality, diffusion, likelihood_curve
-from radonlik.diffusion import (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED,
+from radonlik.diffusion import (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED, SDE_CATALOG,
                                 BridgeSegment, BridgeSet, ObservationSet, SDESpec,
                                 _bridge_rows, _drift_corrections, brownian_drift_spec,
-                                diffusion_model_family, drift_integral, invert_lamperti,
-                                lamperti, lamperti_derivative, logistic_spec, mle_theta,
-                                obs_bridge_log_density, observations_from_csv,
-                                observations_to_csv, ou_exact_transition_density,
-                                ou_spec, sample_bridge_set,
+                                diffusion_model_family, lamperti, lamperti_derivative,
+                                logistic_spec, mle_theta, obs_bridge_log_density,
+                                observations_from_csv, observations_to_csv,
+                                ou_exact_transition_density, ou_spec, sample_bridge_set,
                                 sample_brownian_bridge, simulate_ou,
-                                transform_observations, transition_density_mc,
-                                unit_drift, unit_drift_derivative)
+                                transform_observations, transition_density_mc)
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def generic(spec: SDESpec) -> SDESpec:
-    """Strip the closed forms so the quadrature/bracketing paths are used."""
-    return replace(spec, eta=None, eta_inv=None, alpha_fn=None, dalpha_dx=None,
-                   drift_integral_fn=None)
+class Textbook(NamedTuple):
+    """A catalog spec's coefficients as a textbook states them."""
+
+    drift: Callable             # a(y, theta)
+    dsigma_dy: Callable         # sigma'(y, theta)
+    base_point: float           # where eta vanishes
+    points: tuple               # values u in the state interval to check at
+
+
+# The closed forms of each catalog spec, by name, are checked against the
+# generic derivation from these at x = eta(u), so no inversion is needed.
+REFERENCE = {
+    "ou": Textbook(lambda y, th: -th * y, lambda y, th: 0.0, 0.0, (-1.5, -0.2, 0.7, 2.0)),
+    "brownian-drift": Textbook(lambda y, th: th, lambda y, th: 0.0, 0.0,
+                               (-1.5, -0.2, 0.7, 2.0)),
+    "logistic": Textbook(lambda y, th: th * y * (1.0 - y), lambda y, th: 1.0, 1.0,
+                         (0.3, 1.0, 2.5)),
+}
+
+
+def reference_eta(spec: SDESpec, u: float, theta) -> float:
+    """Integral of 1/sigma from the base point to u, by quadrature."""
+    value, _ = quad(lambda y: 1.0 / spec.sigma(y, theta), REFERENCE[spec.name].base_point, u,
+                    epsabs=1e-12, limit=400)
+    return value
+
+
+def reference_alpha(spec: SDESpec, u: float, theta) -> float:
+    """Unit-diffusion drift at x = eta(u): a(u)/sigma(u) - sigma'(u)/2."""
+    book = REFERENCE[spec.name]
+    return book.drift(u, theta) / spec.sigma(u, theta) - 0.5 * book.dsigma_dy(u, theta)
+
+
+def reference_drift_integral(spec: SDESpec, x: float, theta) -> float:
+    """Integral of the closed-form alpha from 0 to x, by quadrature."""
+    value, _ = quad(lambda z: float(spec.alpha_fn(z, theta)), 0.0, x, epsabs=1e-12, limit=400)
+    return value
+
+
+def central_difference(fn, x: float, theta, h: float = 1e-5) -> float:
+    return (fn(x + h, theta) - fn(x - h, theta)) / (2.0 * h)
+
+
+class TestClosedForms:
+    """Every catalog spec's closed forms agree with the generic derivation
+    from its textbook a(y), sigma(y) and sigma'(y)."""
+
+    def test_reference_table_covers_the_catalog(self):
+        assert REFERENCE.keys() == SDE_CATALOG.keys()
+
+    @pytest.mark.parametrize("name", sorted(SDE_CATALOG))
+    def test_catalog_spec_matches_generic_derivation(self, name):
+        # the proportionality experiment draws the OU sigma0 from [0.6, 1.6]
+        spec = ou_spec(sigma0=1.3) if name == "ou" else SDE_CATALOG[name]()
+        for theta in (0.0, 0.7, 2.0):
+            for u in REFERENCE[name].points:
+                x = lamperti(spec, u, theta)
+                assert x == pytest.approx(reference_eta(spec, u, theta), abs=1e-10)
+                assert spec.alpha_fn(x, theta) == pytest.approx(
+                    reference_alpha(spec, u, theta), abs=1e-10)
+                assert spec.dalpha_dx(x, theta) == pytest.approx(
+                    central_difference(spec.alpha_fn, x, theta), abs=1e-8)
+                assert spec.drift_integral_fn(x, theta) == pytest.approx(
+                    reference_drift_integral(spec, x, theta), abs=1e-10)
 
 
 class TestLamperti:
@@ -49,20 +109,16 @@ class TestLamperti:
 
     def test_quadrature_route_matches_closed_form(self):
         spec = logistic_spec()
-        got = lamperti(generic(spec), 4.0, 1.0)
-        assert got == pytest.approx(math.log(4.0), abs=1e-10)
-
-    def test_inversion_round_trip(self):
-        spec = generic(logistic_spec())
-        x = lamperti(spec, 2.5, 0.7)
-        assert invert_lamperti(spec, x, 0.7) == pytest.approx(2.5, abs=1e-9)
+        assert reference_eta(spec, 4.0, 1.0) == pytest.approx(math.log(4.0), abs=1e-10)
+        assert lamperti(spec, 4.0, 1.0) == pytest.approx(math.log(4.0), abs=1e-10)
 
     def test_sigma_derivative_matches_finite_differences(self):
+        # the reference table's sigma' is the derivative of the spec's sigma
         for spec in (ou_spec(1.3), logistic_spec()):
-            y, th, h = 1.5, 0.8, 1e-6
-            fd = (spec.sigma(y + h, th) - spec.sigma(y - h, th)) / (2 * h)
-            got = spec.dsigma_dy(y, th)
-            assert got == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            y, th = 1.5, 0.8
+            got = REFERENCE[spec.name].dsigma_dy(y, th)
+            assert got == pytest.approx(central_difference(spec.sigma, y, th, h=1e-6),
+                                        rel=1e-5, abs=1e-7)
 
     def test_transform_is_strictly_monotone_in_y(self):
         obs = ObservationSet(times=(0.0, 1.0, 2.0), values=(0.5, 2.0, 1.0))
@@ -74,48 +130,37 @@ class TestLamperti:
 
 class TestUnitDrift:
     def test_unit_sigma_keeps_raw_drift(self):
-        spec = brownian_drift_spec()
-        assert unit_drift(spec, 0.3, 2.0) == pytest.approx(2.0)
+        assert brownian_drift_spec().alpha_fn(0.3, 2.0) == pytest.approx(2.0)
 
     def test_mean_reverting_case(self):
-        spec = ou_spec()
-        assert unit_drift(spec, 1.5, 2.0) == pytest.approx(-3.0)
-
-    def test_zero_drift_multiplicative_sigma(self):
-        # a = 0 and sigma(u) = u: the transformed drift is the constant -1/2
-        spec = SDESpec(name="gbm0", drift=lambda y, th: 0.0, sigma=lambda y, th: y,
-                       dsigma_dy=lambda y, th: 1.0, state=(1e-9, math.inf), base_point=1.0)
-        assert unit_drift(spec, 0.4, 1.0) == pytest.approx(-0.5, abs=1e-9)
+        assert ou_spec().alpha_fn(1.5, 2.0) == pytest.approx(-3.0)
 
     def test_generic_route_matches_closed_form(self):
-        spec = logistic_spec()
-        got = unit_drift(generic(spec), 0.6, 1.1)
-        assert got == pytest.approx(spec.alpha_fn(0.6, 1.1), abs=1e-9)
+        spec, u, theta = logistic_spec(), math.exp(0.6), 1.1
+        got = spec.alpha_fn(lamperti(spec, u, theta), theta)
+        assert got == pytest.approx(reference_alpha(spec, u, theta), abs=1e-9)
 
     def test_derivative_central_difference(self):
         spec = logistic_spec()
-        got = unit_drift_derivative(generic(spec), 0.4, 0.9)
-        assert got == pytest.approx(spec.dalpha_dx(0.4, 0.9), abs=1e-5)
+        want = central_difference(spec.alpha_fn, 0.4, 0.9)
+        assert spec.dalpha_dx(0.4, 0.9) == pytest.approx(want, abs=1e-5)
 
 
 class TestDriftIntegral:
     def test_mean_reverting_closed_form(self):
-        assert drift_integral(ou_spec(), 2.0, 1.0) == pytest.approx(-2.0)
+        assert ou_spec().drift_integral_fn(2.0, 1.0) == pytest.approx(-2.0)
 
     def test_zero_at_origin(self):
-        assert drift_integral(ou_spec(), 0.0, 1.7) == 0.0
+        assert ou_spec().drift_integral_fn(0.0, 1.7) == 0.0
 
     def test_zero_drift_integral_vanishes(self):
-        spec = SDESpec(name="flat", drift=lambda y, th: 0.0, sigma=lambda y, th: 1.0,
-                       dsigma_dy=lambda y, th: 0.0, state=(-math.inf, math.inf),
-                       base_point=0.0, eta=lambda y, th: y, eta_inv=lambda x, th: x,
-                       alpha_fn=lambda x, th: 0.0 * x, dalpha_dx=lambda x, th: 0.0 * x)
+        spec = brownian_drift_spec()
         for u in (-1.0, 0.0, 2.5):
-            assert drift_integral(spec, u, 0.0) == pytest.approx(0.0, abs=1e-12)
+            assert spec.drift_integral_fn(u, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_quadrature_matches_closed_form(self):
         spec = logistic_spec()
-        got = drift_integral(generic(spec), 1.3, 0.8)
+        got = reference_drift_integral(spec, 1.3, 0.8)
         assert got == pytest.approx(spec.drift_integral_fn(1.3, 0.8), abs=1e-9)
 
 
@@ -136,6 +181,20 @@ class TestBridgeSampling:
         a = sample_brownian_bridge(2.0, 0.25, seed=11)
         b = sample_brownian_bridge(2.0, 0.25, seed=11)
         assert np.array_equal(a, b)
+
+    def test_sequence_seeds_keep_every_entry(self):
+        times = (0.0, 0.5, 1.25)
+        one = sample_bridge_set(times, 8, [7, 1]).segments
+        two = sample_bridge_set(times, 8, [7, 2]).segments
+        assert not any(np.array_equal(a.values, b.values) for a, b in zip(one, two))
+        # an int seed s is the one-entry sequence [s]
+        for a, b in zip(sample_bridge_set(times, 8, 7).segments,
+                        sample_bridge_set(times, 8, [7]).segments):
+            assert np.array_equal(a.values, b.values)
+        obs = ObservationSet(times=(0.0, 0.5, 1.0), values=(0.2, 0.1, -0.3))
+        _, curve1 = mle_theta(ou_spec(), obs, (0.5, 1.0), 200, 0.05, seed=[4, 1])
+        _, curve2 = mle_theta(ou_spec(), obs, (0.5, 1.0), 200, 0.05, seed=[4, 2])
+        assert curve1[0] != curve2[0] and curve1[1] != curve2[1]
 
     def test_midpoint_variance(self):
         # bridge variance at s on [0, T] is s (T - s) / T: 1/4 at the middle
@@ -199,7 +258,6 @@ class TestJointDensity:
     @pytest.mark.parametrize("spec, values", [
         (ou_spec(), (0.0, 0.3, -0.2, 0.5)),
         (logistic_spec(), (1.2, 0.7, 1.5, 1.1)),
-        (generic(ou_spec()), (0.0, 0.3, -0.2, 0.5)),
     ])
     def test_theta_array_equals_one_theta_calls(self, spec, values):
         obs = ObservationSet(times=(0.0, 0.5, 1.0, 1.8), values=values)
@@ -220,8 +278,8 @@ class TestJointDensity:
         for k, (theta, x0, x1) in enumerate(ends):
             for r, bridge in enumerate(rows):
                 path = bridge + (x0 + frac * (x1 - x0))
-                alpha = unit_drift(spec, path, theta)
-                integrand = 0.5 * (alpha * alpha + unit_drift_derivative(spec, path, theta))
+                alpha = spec.alpha_fn(path, theta)
+                integrand = 0.5 * (alpha * alpha + spec.dalpha_dx(path, theta))
                 assert out[k, r] == np.trapezoid(integrand, dx=dt)
 
     def test_one_density_call_per_curve(self, monkeypatch):
@@ -254,12 +312,53 @@ class TestJointDensity:
         assert report.passed and argmax_invariance(c1, c2)
 
 
+def _fixed_bridge_oracle_z(theta: float, t: float, y0: float, y1: float) -> float:
+    """z-score of the fixed-bridge Radon-Nikodym estimate of the OU
+    transition density against its closed form.
+
+    Over independent Brownian bridges on one interval, exp(joint log
+    density) / sqrt(t) has the transition density as its mean: the joint
+    density is the Girsanov weight against Brownian-bridge measure times the
+    standardized Gaussian increment.
+    """
+    obs = ObservationSet(times=(0.0, t), values=(y0, y1))
+    spec = ou_spec()
+    weights = np.array([
+        obs_bridge_log_density(spec, obs, sample_bridge_set(obs.times, 48, seed=7000 + k),
+                               (theta,))[0]
+        for k in range(4000)])
+    weights = np.exp(weights) / math.sqrt(t)
+    se = float(np.std(weights, ddof=1)) / math.sqrt(len(weights))
+    return (float(np.mean(weights)) - ou_exact_transition_density(theta, t, y0, y1)) / se
+
+
+class TestFixedBridgeOracle:
+    """The fixed-bridge density pins the Girsanov term: its bridge average
+    is the exact transition density, and a sign flip of the drift
+    correction is caught. The proportionality checks cannot see that flip,
+    since both kernels share it."""
+
+    POINTS = [(1.0, 0.5, 0.2, -0.1), (1.0, 1.0, 0.0, 0.5), (2.0, 0.25, -0.5, 0.3)]
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_bridge_average_matches_exact_density(self, point):
+        assert abs(_fixed_bridge_oracle_z(*point)) <= 3.0
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_sign_flipped_drift_correction_fails(self, monkeypatch, point):
+        corrections = diffusion._drift_corrections
+
+        def flipped(*args):
+            corrections(*args)
+            np.negative(args[4], out=args[4])
+
+        monkeypatch.setattr(diffusion, "_drift_corrections", flipped)
+        assert abs(_fixed_bridge_oracle_z(*point)) > 3.0
+
+
 class TestTransitionDensityMC:
     def test_zero_drift_is_exact_with_zero_variance(self):
-        spec = SDESpec(name="flat", drift=lambda y, th: 0.0, sigma=lambda y, th: 1.0,
-                       dsigma_dy=lambda y, th: 0.0, state=(-math.inf, math.inf),
-                       base_point=0.0, eta=lambda y, th: y, eta_inv=lambda x, th: x,
-                       alpha_fn=lambda x, th: 0.0 * x, dalpha_dx=lambda x, th: 0.0 * x)
+        spec = brownian_drift_spec()
         est, se = transition_density_mc(spec, 0.0, 1.0, 0.0, 0.5, 200, 0.05, seed=1)
         want = math.exp(-0.5 * 0.25) / math.sqrt(2.0 * math.pi)
         assert est == pytest.approx(want, abs=1e-14)
@@ -303,8 +402,6 @@ class TestBridgeMCBits:
                      (0.4280926539044677, 0.000536372827163928)),
         "small-chunk": ((brownian_drift_spec(), 0.7, 1.0, 0.0, 1.0, 250, 0.01),
                         dict(seed=9, chunk=100), (0.38138781546052397, 3.27000367098359e-10)),
-        "generic": ((generic(ou_spec()), 1.0, 0.5, 0.0, 0.4, 100, 0.125), dict(seed=1),
-                    (0.5529402214781868, 0.001267197300170727)),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
