@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 from scipy.stats import beta as beta_dist
 
 from .likelihood import ModelFamily, SampleSpace, likelihood_curve
@@ -35,36 +36,34 @@ class LikelihoodVanishesError(ValueError):
 
 @dataclass(frozen=True)
 class Prior:
-    """Prior on a 1-D parameter space: dense grid, beta label, or point mass.
-
-    Grid priors integrate by the trapezoid rule on their own grid; the beta
-    label integrates by adaptive quadrature of the exact density; point
-    priors evaluate.
-    """
+    """Prior on a 1-D parameter space as a quadrature rule: integrating against
+    it is a weighted sum over `nodes`, and only the constructors choose the
+    rule. Posteriors are shown on `thetas`."""
 
     kind: str                       # "grid" | "beta" | "point"
-    grid: np.ndarray | None = None
-    weights: np.ndarray | None = None   # density values on the grid, mass 1
+    nodes: np.ndarray
+    weights: np.ndarray             # quadrature weights, summing to 1
+    thetas: np.ndarray
     a: float | None = None
     b: float | None = None
-    point: float | None = None
 
     @classmethod
     def from_grid(cls, grid: Sequence[float], density_values: Sequence[float]) -> "Prior":
         grid = np.asarray(grid, dtype=float)
-        w = np.asarray(density_values, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("prior density values must be nonnegative")
-        total = float(np.trapezoid(w, grid))
-        if total <= 0:
+        density = np.asarray(density_values, dtype=float)
+        if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0) \
+                or not np.all(np.isfinite(grid)):
+            raise ValueError("prior grid must be finite, strictly increasing, >= 2 nodes")
+        if not np.all(np.isfinite(density)) or np.any(density < 0):
+            raise ValueError("prior density values must be finite and nonnegative")
+        weights = _trapezoid_coefficients(grid) * density
+        if weights.sum() <= 0:
             raise ValueError("prior must have positive total mass")
-        return cls(kind="grid", grid=grid, weights=w / total)
+        return cls(kind="grid", nodes=grid, weights=weights / weights.sum(), thetas=grid)
 
     @classmethod
-    def uniform_grid(cls, lo: float = 0.0, hi: float = 1.0,
-                     nodes: int = GRID_PRIOR_NODES) -> "Prior":
-        grid = np.linspace(lo, hi, nodes)
-        return cls.from_grid(grid, np.ones_like(grid))
+    def uniform_grid(cls, nodes: int = GRID_PRIOR_NODES) -> "Prior":
+        return cls.beta_grid(1.0, 1.0, nodes)
 
     @classmethod
     def beta_grid(cls, a: float, b: float, nodes: int = GRID_PRIOR_NODES) -> "Prior":
@@ -73,41 +72,50 @@ class Prior:
 
     @classmethod
     def beta(cls, a: float, b: float) -> "Prior":
-        if a <= 0 or b <= 0:
-            raise ValueError("beta parameters must be positive")
-        return cls(kind="beta", a=a, b=b)
+        if not (math.isfinite(a) and math.isfinite(b)) or a <= 0 or b <= 0:
+            raise ValueError("beta parameters must be finite and positive")
+        # theta = (1 + x) / 2 turns the Jacobi weight (1 - x)^(b-1) (1 + x)^(a-1)
+        # into a multiple of the Beta(a, b) density; 32 nodes integrate every
+        # polynomial of degree below 64 in theta exactly
+        x, w = roots_jacobi(32, b - 1.0, a - 1.0)
+        return cls(kind="beta", nodes=(1.0 + x) / 2.0, weights=w / w.sum(),
+                   thetas=np.linspace(0.0, 1.0, 1025), a=a, b=b)
 
     @classmethod
     def point_mass(cls, theta0: float) -> "Prior":
-        return cls(kind="point", point=theta0)
+        if not math.isfinite(theta0):
+            raise ValueError("point prior location must be finite")
+        node = np.array([float(theta0)])
+        return cls(kind="point", nodes=node, weights=np.ones(1), thetas=node)
 
     def density(self, theta):
-        if self.kind == "grid":
-            return np.interp(theta, self.grid, self.weights)
+        """Lebesgue density: exact for the beta label, interpolated on a grid."""
         if self.kind == "beta":
             return beta_dist.pdf(theta, self.a, self.b)
+        if self.kind == "grid":
+            # only the rule is stored; its weights are density times trapezoid step
+            return np.interp(theta, self.nodes,
+                             self.weights / _trapezoid_coefficients(self.nodes))
         raise ValueError("point priors have no density")
 
     def integrate(self, fn: Callable) -> float:
-        """Integral of fn against the prior; fn must accept arrays for grids."""
-        if self.kind == "grid":
-            return float(np.trapezoid(fn(self.grid) * self.weights, self.grid))
-        if self.kind == "beta":
-            value, _ = quad(lambda th: fn(th) * beta_dist.pdf(th, self.a, self.b),
-                            0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=400)
-            return value
-        return float(fn(self.point))
-
-    def curve_grid(self) -> np.ndarray:
-        if self.kind == "grid":
-            return self.grid
-        if self.kind == "beta":
-            return np.linspace(0.0, 1.0, 1025)
-        return np.asarray([self.point])
+        """Integral of fn (node array to values) against the prior, as a pairwise
+        sum: the bits of a BLAS dot would follow the thread count."""
+        value = float(np.sum(self.weights * fn(self.nodes)))
+        if not math.isfinite(value):
+            raise ValueError(f"integral against the prior is {value}: the integrand "
+                             "is not finite at the nodes")
+        return value
 
     @property
     def total_mass(self) -> float:
-        return self.integrate(lambda th: np.ones_like(np.asarray(th, dtype=float)))
+        return float(self.weights.sum())
+
+
+def _trapezoid_coefficients(grid: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on `grid`: half of each adjacent step."""
+    steps = np.diff(grid, prepend=grid[0], append=grid[-1])
+    return (steps[:-1] + steps[1:]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -129,11 +137,8 @@ class DominanceReport:
 
 
 def _kernel_on_thetas(family: ModelFamily, measure_id: str, x) -> Callable:
-    """theta -> likelihood at x, for a theta array or one theta."""
-    def fn(thetas):
-        out = np.exp(family.log_kernel(measure_id, np.atleast_1d(thetas), x))
-        return out if np.ndim(thetas) else float(out[0])
-    return fn
+    """theta array -> likelihood at x."""
+    return lambda thetas: np.exp(family.log_kernel(measure_id, thetas, x))
 
 
 def marginal_density(family: ModelFamily, measure_id: str, prior: Prior, x) -> float:
@@ -142,20 +147,20 @@ def marginal_density(family: ModelFamily, measure_id: str, prior: Prior, x) -> f
 
 
 def posterior(family: ModelFamily, measure_id: str, prior: Prior, x) -> PosteriorCurve:
-    """Posterior density against the prior: likelihood over marginal."""
-    m = marginal_density(family, measure_id, prior, x)
+    """Posterior density against the prior: likelihood over marginal. The kernel
+    at the prior's nodes gives the marginal, the residual and, when the display
+    grid is the node set, the curve."""
+    kernel = _kernel_on_thetas(family, measure_id, x)
+    at_nodes = kernel(prior.nodes)
+    m = prior.integrate(lambda _: at_nodes)
     if m <= 0.0:
         raise LikelihoodVanishesError(
             f"marginal density is zero at {x!r}: likelihood vanishes almost everywhere "
             "under the prior")
-    thetas = prior.curve_grid()
-    kernel = _kernel_on_thetas(family, measure_id, x)
-    values = np.atleast_1d(np.asarray(kernel(thetas), dtype=float)) / m
-    if prior.kind == "point":
-        residual = abs(float(values[0]) - 1.0)
-    else:
-        residual = abs(prior.integrate(lambda th: kernel(th) / m) - 1.0)
-    return PosteriorCurve(thetas=thetas, values=values, observation=x,
+    at_nodes /= m
+    residual = abs(prior.integrate(lambda _: at_nodes) - 1.0)
+    values = at_nodes if prior.thetas is prior.nodes else kernel(prior.thetas) / m
+    return PosteriorCurve(thetas=prior.thetas, values=values, observation=x,
                           normalization_residual=residual)
 
 
@@ -214,20 +219,18 @@ def dominance_check(family: ModelFamily, measure_id: str, prior: Prior,
     atoms = base.atoms
     if not atoms:
         raise ValueError("dominance check requires a finite atom space")
-    marg = [marginal_density(family, measure_id, prior, x) for x in atoms]
-    zero_set = tuple(x for x, m in zip(atoms, marg) if m <= ZERO_SET_EPS)
-    # likelihood[x][i]: the kernel at atom x and the i-th grid theta
-    likelihood = {x: [math.exp(v) for v in likelihood_curve(family, measure_id, x).values]
-                  for x in atoms}
-    hits = [sum(likelihood[x][i] * base.atom_mass(x) for x in zero_set) > 1e-10
-            for i in range(len(family.theta_grid))]
-    supports = [tuple(likelihood[x][i] > 0.0 for x in atoms)
-                for i in range(len(family.theta_grid))]
-    support_constant = all(s == supports[0] for s in supports)
+    zero_set = predictive_measure(family, measure_id, prior, base).zero_set(atoms)
+    # likelihood[j, i]: the kernel at the j-th atom and the i-th grid theta
+    likelihood = np.exp([likelihood_curve(family, measure_id, x).values for x in atoms])
+    on_zero_set = [x in zero_set for x in atoms]
+    charge = np.array([base.atom_mass(x) for x in atoms])[on_zero_set] @ likelihood[on_zero_set]
+    hits = tuple((charge > 1e-10).tolist())
+    supports = likelihood > 0.0
+    support_constant = bool(np.all(supports == supports[:, :1]))
     dominated = not any(hits)
     if support_constant and not dominated:
         raise RuntimeError("support constancy must imply dominance; kernel tables are inconsistent")
-    return DominanceReport(zero_set=zero_set, zero_set_hit=tuple(hits),
+    return DominanceReport(zero_set=zero_set, zero_set_hit=hits,
                            dominated=dominated, support_constant=support_constant)
 
 

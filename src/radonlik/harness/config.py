@@ -147,7 +147,7 @@ CONFIG_SCHEMA = {
                 "priors": {
                     "type": "array",
                     "items": {"type": "string",
-                              "pattern": r"^(uniform-grid|beta\(\s*[0-9.]+\s*,\s*[0-9.]+\s*\)|point\(\s*[0-9.]+\s*\))$"},
+                              "pattern": r"^(uniform-grid|beta\(\s*[0-9.]+\s*,\s*[0-9.]+\s*\))$"},
                     "minItems": 1,
                 },
             },

@@ -481,31 +481,26 @@ def _beta_binomial_closed(n: int, x: int, a: float, b: float) -> float:
     return math.comb(n, x) * math.exp(betaln(x + a, n - x + b) - betaln(a, b))
 
 
-def _parse_prior(label: str) -> bayes.Prior:
+def _parse_prior(label: str) -> tuple[bayes.Prior, float, float]:
+    """The prior named by a config label, with the (a, b) of its Beta oracle."""
     if label == "uniform-grid":
-        return bayes.Prior.uniform_grid()
-    if label.startswith("beta("):
+        return bayes.Prior.uniform_grid(), 1.0, 1.0
+    if not label.startswith("beta("):
+        raise ConfigError(f"config error at bayes/priors: unknown prior label {label!r}")
+    try:
         a, b = (float(v) for v in label[5:-1].split(","))
-        return bayes.Prior.beta(a, b)
-    if label.startswith("point("):
-        return bayes.Prior.point_mass(float(label[6:-1]))
-    raise ConfigError(f"unknown prior label {label!r}")
-
-
-def _prior_ab(label: str) -> tuple[float, float]:
-    if label == "uniform-grid":
-        return 1.0, 1.0
-    return tuple(float(v) for v in label[5:-1].split(","))
+        return bayes.Prior.beta(a, b), a, b
+    except ValueError as exc:
+        raise ConfigError(f"config error at bayes/priors: {label!r}: {exc}") from exc
 
 
 def run_bayes(config: dict) -> tuple[Report, Curves]:
     seed, tol = config["seed"], config["tol"]
     cfg = config["bayes"]
     report = Report(experiment="bayes", seed=seed, tolerance=tol)
+    priors = [_parse_prior(label) for label in cfg["priors"]]
     worst_marg = worst_post = worst_inv = worst_resid = 0.0
-    for label in cfg["priors"]:
-        prior = _parse_prior(label)
-        a, b = _prior_ab(label)
+    for prior, a, b in priors:
         for n in range(1, cfg["n_max"] + 1):
             family, measures = bayes.binomial_family(n, tuple(np.linspace(0.05, 0.95, 10)))
             for x in range(n + 1):
@@ -527,7 +522,7 @@ def run_bayes(config: dict) -> tuple[Report, Curves]:
     # predictive measure: invariance across bases and total mass
     n = cfg["n_max"]
     family, measures = bayes.binomial_family(n, tuple(np.linspace(0.05, 0.95, 10)))
-    prior = _parse_prior(cfg["priors"][0])
+    prior = priors[0][0]
     atoms = tuple(range(n + 1))
     test_sets = [{"atoms": ()}, {"atoms": atoms},
                  {"atoms": atoms[: max(1, n // 2)]}, {"atoms": atoms[-2:]}]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln
+from scipy.special import betaln, roots_jacobi
 from scipy.stats import beta as beta_dist
 
 from radonlik import ModelFamily, SampleSpace, finite_family
@@ -35,6 +35,57 @@ class TestPrior:
     def test_point_prior_integrates_by_evaluation(self):
         prior = Prior.point_mass(0.25)
         assert prior.integrate(lambda th: th * 2) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Prior.from_grid([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
+        lambda: Prior.from_grid([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]),
+        lambda: Prior.from_grid([0.0, 0.8, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0]),
+        lambda: Prior.from_grid([0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0]),
+        lambda: Prior.from_grid([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
+        lambda: Prior.from_grid([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
+        lambda: Prior.from_grid([0.5], [1.0]),
+        lambda: Prior.beta(math.nan, 2.0),
+        lambda: Prior.beta(2.0, math.inf),
+        lambda: Prior.point_mass(math.nan),
+        lambda: Prior.point_mass(-math.inf),
+        lambda: posterior(_constant_family(math.nan), "counting", Prior.beta(2.0, 3.0), 0),
+        lambda: posterior(_constant_family(math.inf), "counting", Prior.point_mass(0.5), 0),
+        lambda: marginal_density(_constant_family(math.nan), "counting",
+                                 Prior.uniform_grid(nodes=1025), 0),
+    ], ids=["nan-density", "inf-density", "unsorted-grid", "repeated-node", "nan-node",
+            "inf-node", "one-node", "nan-a", "inf-b", "nan-point", "inf-point",
+            "nan-kernel-posterior", "inf-kernel-posterior", "nan-kernel-marginal"])
+    def test_bad_input_raises_where_it_enters(self, build):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert not isinstance(info.value, LikelihoodVanishesError)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 0.5), (1.0, 1.0)])
+    def test_gauss_jacobi_rule_is_exact_for_binomial_kernels(self, a, b):
+        assert _worst_marginal_error(Prior.beta(a, b), a, b) <= 1e-14
+
+    def test_swapped_jacobi_exponents_fail_the_marginal_oracle(self, monkeypatch):
+        # negative control: the swapped rule integrates against Beta(3, 2), not Beta(2, 3)
+        monkeypatch.setattr("radonlik.bayes.roots_jacobi",
+                            lambda n, alpha, beta: roots_jacobi(n, beta, alpha))
+        assert _worst_marginal_error(Prior.beta(2.0, 3.0), 2.0, 3.0) > 1e-8
+
+
+def _constant_family(log_value):
+    """One-atom family whose log kernel is `log_value` at every theta."""
+    fam = ModelFamily((0.5,), SampleSpace(atoms=(0,)))
+    fam.register_kernel("counting", lambda ths, x: np.full(len(ths), log_value))
+    return fam
+
+
+def _worst_marginal_error(prior, a, b):
+    worst = 0.0
+    for n in range(1, 11):
+        family, _ = binomial_family(n, (0.5,))
+        for x in range(n + 1):
+            m = marginal_density(family, "counting", prior, x)
+            worst = max(worst, abs(m - beta_binomial_closed(n, x, a, b)))
+    return worst
 
 
 class TestMarginal:
@@ -96,6 +147,25 @@ class TestPosterior:
         lebesgue = post.values * prior.density(post.thetas)
         exact = beta_dist.pdf(post.thetas, 6.0, 4.0)
         assert np.max(np.abs(lebesgue - exact)) <= 1e-8
+
+    @pytest.mark.parametrize("prior,passes", [
+        (Prior.uniform_grid(nodes=1025), ["nodes"]),
+        (Prior.point_mass(0.3), ["nodes"]),
+        (Prior.beta(2.0, 3.0), ["nodes", "thetas"]),
+    ], ids=["grid", "point", "beta"])
+    def test_one_kernel_pass_per_posterior(self, prior, passes):
+        family, _ = binomial_family(4, (0.5,))
+        seen = []
+
+        def counted(thetas, x):
+            seen.append("nodes" if thetas is prior.nodes else "thetas")
+            return family.log_kernel("counting", thetas, x)
+
+        family.register_kernel("counted", counted)
+        post = posterior(family, "counted", prior, 3)
+        assert seen == passes
+        want = posterior(family, "counting", prior, 3)
+        assert np.array_equal(post.values, want.values)
 
     def test_vanishing_likelihood_raises(self):
         fam = finite_family((0, 1), [(1.0, 0.0), (0.0, 1.0)], (0.0, 1.0))
@@ -204,9 +274,7 @@ def test_support_constancy_implies_dominance(seed, n_atoms, n_members):
     fam = finite_family(atoms, rows, thetas)
     base = DominatingMeasure.counting("counting", atoms)
     weights = rng.uniform(0.2, 1.0, size=n_members)
-    prior_grid = np.asarray(thetas)
-    prior = Prior(kind="grid", grid=prior_grid,
-                  weights=weights / np.trapezoid(weights, prior_grid))
+    prior = Prior.from_grid(np.asarray(thetas), weights)
     rep = dominance_check(fam, "counting", prior, base)
     assert rep.support_constant
     assert rep.dominated

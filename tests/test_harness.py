@@ -210,5 +210,13 @@ class TestCLI:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["point(0.3)", "beta(0,2)", "beta(1.2.3,2)"])
+    def test_bad_prior_label_exit_two(self, tmp_path, capsys, label):
+        config = tmp_path / "bayes.yaml"
+        config.write_text(f'bayes:\n  priors: ["{label}"]\n')
+        assert main(["bayes", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "bayes").exists()
+
     def test_negative_tol_exit_two(self, tmp_path):
         assert main(["mcem", "--out", str(tmp_path), "--tol", "-1"]) == 2
