@@ -8,6 +8,7 @@ variable honored is RADONLIK_OUT, which overrides the output directory.
 from __future__ import annotations
 
 import copy
+import math
 import os
 from pathlib import Path
 
@@ -203,7 +204,28 @@ def load_config(path=None) -> dict:
     if config["poisson"]["intensity"] == "loglinear":
         raise ConfigError("config error at poisson/intensity: 'loglinear' takes theta = (a, b), "
                           "but poisson.grid is a grid of scalars; pick another poisson.intensity")
+    for label in config["bayes"]["priors"]:
+        prior_beta_params(label)
     return config
+
+
+def prior_beta_params(label: str) -> tuple[float, float]:
+    """The (a, b) of a prior label's Beta law: (1, 1) for uniform-grid.
+
+    Raises ConfigError unless a and b are finite and positive.
+    """
+    if label == "uniform-grid":
+        return 1.0, 1.0
+    if not (label.startswith("beta(") and label.endswith(")")):
+        raise ConfigError(f"config error at bayes/priors: unknown prior label {label!r}")
+    try:
+        a, b = (float(v) for v in label[5:-1].split(","))
+    except ValueError as exc:
+        raise ConfigError(f"config error at bayes/priors: {label!r}: {exc}") from exc
+    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
+        raise ConfigError(f"config error at bayes/priors: {label!r}: "
+                          "a and b must be finite and positive")
+    return a, b
 
 
 def resolve_out_dir(config: dict, cli_out=None) -> Path:

@@ -19,7 +19,7 @@ from scipy.stats import chisquare, poisson as poisson_dist
 from .. import bayes, diffusion, expfam, mixture, poisson
 from ..likelihood import (NEG_INF, LogLikelihoodCurve, ModelFamily, argmax_invariance,
                           check_proportionality, likelihood_curve)
-from .config import ConfigError, grid_from_spec
+from .config import ConfigError, grid_from_spec, prior_beta_params
 from .mcem import mcem_missing_data
 from .reporting import Report, emit_curves, write_report_json
 
@@ -483,12 +483,10 @@ def _beta_binomial_closed(n: int, x: int, a: float, b: float) -> float:
 
 def _parse_prior(label: str) -> tuple[bayes.Prior, float, float]:
     """The prior named by a config label, with the (a, b) of its Beta oracle."""
+    a, b = prior_beta_params(label)
     if label == "uniform-grid":
-        return bayes.Prior.uniform_grid(), 1.0, 1.0
-    if not label.startswith("beta("):
-        raise ConfigError(f"config error at bayes/priors: unknown prior label {label!r}")
+        return bayes.Prior.uniform_grid(), a, b
     try:
-        a, b = (float(v) for v in label[5:-1].split(","))
         return bayes.Prior.beta(a, b), a, b
     except ValueError as exc:
         raise ConfigError(f"config error at bayes/priors: {label!r}: {exc}") from exc

@@ -181,42 +181,63 @@ def simulate(mix: PointMassMixture, n: int, seed) -> np.ndarray:
     return out
 
 
-def _sample_log_density(mix: PointMassMixture, ys: np.ndarray, variant: str,
-                        lebesgue_scale: float = 1.0) -> float:
-    """Sum of log densities over an i.i.d. sample, vectorized.
+def _log_density_curve(mixes: Sequence[PointMassMixture], ys, variant: str,
+                       lebesgue_scale: float = 1.0) -> list[float]:
+    """Sum of log densities over an i.i.d. sample, one value per mixture.
 
     `lebesgue_scale` divides the continuous part, matching a kernel taken
     against counting + scale * Lebesgue. Variants: "correct" (atom indicator
     kept), "naive" (indicator dropped), "lebesgue-only" (continuous part
     alone, zero at atoms).
+
+    The sample-only work is done once for the curve: each distinct
+    component's density, zeroed off its region (open, or closed for
+    "naive"), and each atom's positions in the sample. Per mixture the
+    continuous part is then a weighted sum of those arrays, and each atom is
+    one index assignment. Since q * 0 = 0, weighting a zeroed array gives
+    the bits of weighting inside the region alone.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    cont = np.zeros_like(ys)
-    for q, comp in mix.components:
-        lo, hi = comp.region
-        inside = (ys >= lo) & (ys <= hi) if variant == "naive" else (ys > lo) & (ys < hi)
-        cont = cont + np.where(inside, q * comp.density(ys), 0.0)
-    dens = cont / lebesgue_scale
-    for a, p in mix.atoms:
-        here = ys == a
-        if variant == "naive":
-            dens = np.where(here, dens + p, dens)
-        elif variant == "lebesgue-only":
-            dens = np.where(here, 0.0, dens)
+    masked, positions = {}, {}
+    for mix in mixes:
+        for _, comp in mix.components:
+            if comp not in masked:
+                lo, hi = comp.region
+                if variant == "naive":
+                    inside = (ys >= lo) & (ys <= hi)
+                else:
+                    inside = (ys > lo) & (ys < hi)
+                masked[comp] = np.where(inside, comp.density(ys), 0.0)
+        for a, _ in mix.atoms:
+            if a not in positions:
+                positions[a] = np.flatnonzero(ys == a)
+    values = []
+    for mix in mixes:
+        terms = [q * masked[comp] for q, comp in mix.components]
+        dens = sum(terms[1:], terms[0]) if terms else np.zeros_like(ys)
+        dens /= lebesgue_scale
+        for a, p in mix.atoms:
+            here = positions[a]
+            if variant == "naive":
+                dens[here] += p
+            elif variant == "lebesgue-only":
+                dens[here] = 0.0
+            else:
+                dens[here] = p
+        if np.any(dens <= 0.0):
+            # a NaN draw is in no region and at no atom, so it always lands here
+            if np.isnan(ys).any():
+                raise ValueError("sample contains NaN")
+            values.append(NEG_INF)
         else:
-            dens = np.where(here, p, dens)
-    if np.any(dens <= 0.0):
-        # a NaN draw is in no region and at no atom, so it always lands here
-        if np.isnan(ys).any():
-            raise ValueError("sample contains NaN")
-        return NEG_INF
-    return float(np.sum(np.log(dens)))
+            values.append(float(np.sum(np.log(dens))))
+    return values
 
 
 def grid_mle(mixes: Sequence[PointMassMixture], theta_grid: Sequence[float],
              sample: np.ndarray, variant: str = "correct") -> frozenset[int]:
     """Grid argmax of the sample log density; ties reported as an index set."""
-    values = tuple(_sample_log_density(mix, sample, variant) for mix in mixes)
+    values = tuple(_log_density_curve(mixes, sample, variant))
     return argmax_indices(LogLikelihoodCurve(variant, "sample", tuple(theta_grid), values))
 
 
@@ -254,8 +275,8 @@ def atom_weight_family(atom: float, component: Component, p_grid: Sequence[float
     family = ModelFamily(p_grid, SampleSpace(label="iid-sample"))
 
     def kernel(variant: str, lebesgue_scale: float = 1.0):
-        return lambda ps, ys: [_sample_log_density(mixes[p], ys, variant, lebesgue_scale)
-                               for p in ps]
+        return lambda ps, ys: _log_density_curve([mixes[p] for p in ps], ys, variant,
+                                                 lebesgue_scale)
 
     family.register_kernel("counting-lebesgue", kernel("correct"))
     family.register_kernel("counting-2lebesgue", kernel("correct", lebesgue_scale=2.0))

@@ -27,8 +27,9 @@ class PointPattern:
     """A realization (N, s_1..s_N) on a bounded box region.
 
     The region is a tuple of per-dimension (lo, hi) intervals, each finite
-    with lo < hi; locations are an (N, d) array (1-D patterns may be built
-    from flat lists).
+    with lo < hi. Locations may be given as an (N, d) array or sequence (1-D
+    patterns also as a flat list); they are kept as a tuple of float tuples,
+    and as a read-only (N, d) array for the kernels.
     """
 
     region: tuple
@@ -40,16 +41,21 @@ class PointPattern:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"region side {(lo, hi)} must be finite with lo < hi")
         object.__setattr__(self, "region", region)
-        pts = []
-        for p in self.locations:
-            p = (float(p),) if np.isscalar(p) else tuple(map(float, p))
-            if len(p) != len(region):
-                raise ValueError("location dimension does not match region")
-            for x, (lo, hi) in zip(p, region):
-                if not lo <= x <= hi:
-                    raise ValueError(f"location {p} outside region {region}")
-            pts.append(p)
-        object.__setattr__(self, "locations", tuple(pts))
+        pts = np.array(self.locations, dtype=float)
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, len(region) if pts.size == 0 else 1)
+        if pts.ndim != 2 or pts.shape[1] != len(region):
+            raise ValueError("location dimension does not match region")
+        lo, hi = np.array(region).T
+        inside = (pts >= lo) & (pts <= hi)
+        if not inside.all():
+            if np.isnan(pts).any():
+                raise ValueError("location contains NaN")
+            bad = pts[~inside.all(axis=1)][0]
+            raise ValueError(f"location {tuple(bad.tolist())} outside region {region}")
+        pts.flags.writeable = False
+        object.__setattr__(self, "_points", pts)
+        object.__setattr__(self, "locations", tuple(map(tuple, pts.tolist())))
 
     @property
     def count(self) -> int:
@@ -57,7 +63,7 @@ class PointPattern:
 
     @property
     def volume(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in self.region]))
+        return float(math.prod(hi - lo for lo, hi in self.region))
 
     def to_json(self) -> str:
         return json.dumps({"region": [list(side) for side in self.region],
@@ -72,74 +78,79 @@ class PointPattern:
 
 @dataclass(frozen=True)
 class IntensityModel:
-    """theta-indexed intensity on a region, with its integral Lambda(theta)."""
+    """theta-indexed intensity on a region, with its integral Lambda(theta).
+
+    `rate(theta, x)` maps an (N, d) float array of points to N intensities;
+    `cumulative(theta)` is the closed-form Lambda(theta).
+    """
 
     name: str
     region: tuple
     theta_grid: tuple
-    rate: Callable                 # (theta, point) -> intensity >= 0
-    cumulative: Callable | None = None   # closed-form Lambda(theta), if known
+    rate: Callable                 # (theta, (N, d) array) -> N intensities >= 0
+    cumulative: Callable           # theta -> Lambda(theta), in closed form
     max_rate: Callable | None = None     # theta -> sup of the intensity, the thinning bound
 
-    def intensity(self, theta, point) -> float:
-        value = self.rate(theta, point)
-        if value < 0:
+    def intensity(self, theta, points) -> np.ndarray:
+        """Intensities at an (N, d) array of points (or at one point)."""
+        values = self.rate(theta, np.atleast_2d(points))
+        if (values < 0).any():
             raise ValueError("intensity must be nonnegative")
-        return value
+        return values
 
     def total(self, theta) -> float:
         """Lambda(theta) = integral of the intensity over the region."""
-        if self.cumulative is not None:
-            return float(self.cumulative(theta))
-        if len(self.region) != 1:
-            raise ValueError("quadrature fallback only supports 1-D regions")
-        lo, hi = self.region[0]
-        value, _ = quad(lambda s: self.rate(theta, (s,)), lo, hi, epsabs=1e-10, limit=200)
-        return value
+        return float(self.cumulative(theta))
 
     @property
     def volume(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in self.region]))
+        return float(math.prod(hi - lo for lo, hi in self.region))
 
 
 def simulate_thinning(model: IntensityModel, theta, bound: float, seed) -> PointPattern:
-    """Thinning sampler: uniform proposals at rate `bound`, kept w.p. rate/bound."""
+    """Thinning sampler (Lewis and Shedler 1979): uniform proposals at rate
+    `bound`, kept w.p. rate/bound.
+
+    Each proposal's row of `d + 1` uniforms holds its location and then its
+    acceptance draw, the order in which a per-proposal loop would draw them.
+    """
     rng = np.random.default_rng(seed)
-    volume = model.volume
-    n_prop = rng.poisson(bound * volume)
-    kept = []
-    for _ in range(n_prop):
-        point = tuple(rng.uniform(lo, hi) for lo, hi in model.region)
-        lam = model.intensity(theta, point)
-        if lam > bound:
-            raise ValueError(f"thinning bound {bound} below intensity {lam} at {point}")
-        if rng.uniform() < lam / bound:
-            kept.append(point)
-    return PointPattern(region=model.region, locations=tuple(kept))
+    n_prop = rng.poisson(bound * model.volume)
+    d = len(model.region)
+    raw = rng.random((n_prop, d + 1))
+    lo, hi = np.array(model.region).T
+    pts = lo + (hi - lo) * raw[:, :d]
+    lam = model.intensity(theta, pts)
+    over = lam > bound
+    if over.any():
+        i = int(np.argmax(over))
+        raise ValueError(f"thinning bound {bound} below intensity {float(lam[i])} "
+                         f"at {tuple(pts[i].tolist())}")
+    return PointPattern(region=model.region, locations=pts[raw[:, d] < lam / bound])
+
+
+def _sum_log_intensity(model: IntensityModel, theta, pattern: PointPattern,
+                       start: float) -> float:
+    """start + sum of log intensities over the pattern, or -inf if one vanishes.
+
+    `math.log` and a sequential sum from `start`, point by point, give the
+    same bits as adding the logs one at a time in Python.
+    """
+    lam = model.intensity(theta, pattern._points)
+    if (lam == 0.0).any():
+        return NEG_INF
+    return float(np.add.accumulate([start, *map(math.log, lam.tolist())])[-1])
 
 
 def loglik_product_measure(model: IntensityModel, theta, pattern: PointPattern) -> float:
     """Log density against counting x Lebesgue on (N, s_1..s_N)."""
-    total = model.total(theta)
-    value = -math.lgamma(pattern.count + 1) - total
-    for point in pattern.locations:
-        lam = model.intensity(theta, point)
-        if lam == 0.0:
-            return NEG_INF
-        value += math.log(lam)
-    return value
+    return _sum_log_intensity(model, theta, pattern,
+                              -math.lgamma(pattern.count + 1) - model.total(theta))
 
 
 def loglik_jacod(model: IntensityModel, theta, pattern: PointPattern) -> float:
     """Log density against the unit-rate Poisson-process law on the region."""
-    total = model.total(theta)
-    value = -(total - pattern.volume)
-    for point in pattern.locations:
-        lam = model.intensity(theta, point)
-        if lam == 0.0:
-            return NEG_INF
-        value += math.log(lam)
-    return value
+    return _sum_log_intensity(model, theta, pattern, -(model.total(theta) - pattern.volume))
 
 
 def mle_intensity(model: IntensityModel, pattern: PointPattern,
@@ -170,7 +181,7 @@ def location_density_mass(model: IntensityModel, theta, n: int) -> float:
         raise ValueError("n must be 1 or 2")
     lo, hi = model.region[0]
     total = model.total(theta)
-    value, _ = quad(lambda s: model.rate(theta, (s,)) / total, lo, hi,
+    value, _ = quad(lambda s: model.rate(theta, np.array([[s]]))[0] / total, lo, hi,
                     epsabs=1e-10, limit=200)
     return value ** n
 
@@ -179,9 +190,9 @@ def location_density_mass(model: IntensityModel, theta, n: int) -> float:
 
 def constant_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),)) -> IntensityModel:
     region = tuple(tuple(side) for side in region)
-    volume = float(np.prod([hi - lo for lo, hi in region]))
+    volume = float(math.prod(hi - lo for lo, hi in region))
     return IntensityModel(name="constant", region=region, theta_grid=tuple(theta_grid),
-                          rate=lambda c, s: float(c),
+                          rate=lambda c, x: np.full(len(x), float(c)),
                           cumulative=lambda c: float(c) * volume,
                           max_rate=lambda c: float(c))
 
@@ -196,13 +207,17 @@ def loglinear_intensity(theta_grid: Sequence[tuple], region=((0.0, 1.0),)) -> In
             return math.exp(a) * (hi - lo)
         return (math.exp(a + b * hi) - math.exp(a + b * lo)) / b
 
+    def rate(theta, x):
+        # math.exp, not np.exp: the two differ in the last bit on some inputs
+        a, b = theta
+        return np.fromiter(map(math.exp, (a + b * x[:, 0]).tolist()), float, len(x))
+
     def max_rate(theta):
         a, b = theta
         return math.exp(a + max(b * lo, b * hi)) + 1e-9
 
     return IntensityModel(name="loglinear", region=((lo, hi),), theta_grid=tuple(theta_grid),
-                          rate=lambda th, s: math.exp(th[0] + th[1] * s[0]),
-                          cumulative=cumulative, max_rate=max_rate)
+                          rate=rate, cumulative=cumulative, max_rate=max_rate)
 
 
 def sinusoidal_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),),
@@ -215,7 +230,7 @@ def sinusoidal_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),),
         return c * ((hi - lo) + wobble * (math.cos(two_pi * lo) - math.cos(two_pi * hi)) / two_pi)
 
     return IntensityModel(name="sinusoidal", region=((lo, hi),), theta_grid=tuple(theta_grid),
-                          rate=lambda c, s: c * (1.0 + wobble * math.sin(two_pi * s[0])),
+                          rate=lambda c, x: c * (1.0 + wobble * np.sin(two_pi * x[:, 0])),
                           cumulative=cumulative,
                           max_rate=lambda c: float(c) * (1.0 + abs(wobble)) + 1e-9)
 

@@ -218,5 +218,17 @@ class TestCLI:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "bayes").exists()
 
+    @pytest.mark.parametrize("label", ["beta(0,2)", "beta(2,0.0)", "beta(1.2.3,2)",
+                                       "beta(2," + "9" * 400 + ")"])
+    def test_bad_prior_label_rejected_at_load(self, tmp_path, capsys, label):
+        config = tmp_path / "bayes.yaml"
+        config.write_text(f'bayes:\n  priors: ["uniform-grid", "{label}"]\n')
+        with pytest.raises(ConfigError, match="bayes/priors"):
+            load_config(config)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_negative_tol_exit_two(self, tmp_path):
         assert main(["mcem", "--out", str(tmp_path), "--tol", "-1"]) == 2

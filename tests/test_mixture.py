@@ -1,13 +1,16 @@
 """Point-mass mixtures: correct vs naive densities and the grid MLE."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radonlik import argmax_invariance, check_proportionality, likelihood_curve
+from radonlik import argmax_invariance, check_proportionality, likelihood_curve, mixture
+from radonlik.harness.config import load_config
+from radonlik.harness.experiments import run_mixture
 from radonlik.mixture import (COMPONENT_CATALOG, PointMassMixture,
                               atom_weight_family, atom_weight_mixture, density_correct,
                               density_naive, grid_mle, mixture_total_mass, simulate)
@@ -170,3 +173,199 @@ class TestMassConsistency:
                        points=[0.0], epsabs=1e-12)
         total = cont + mix.atom_mass(0.0)
         assert total == pytest.approx(mix.interval_mass(-eps, eps), abs=1e-6)
+
+
+MEASURE_IDS = ("counting-lebesgue", "counting-2lebesgue", "counting-lebesgue-naive",
+               "lebesgue-only")
+VARIANTS = ("correct", "naive", "lebesgue-only")
+GOLDEN_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def _golden_case(name):
+    """Component, atom and three samples: 12 draws at p = 0.3, which hold the
+    atom; the draws plus the region's lower endpoint; the draws off the atom."""
+    comp = COMPONENT_CATALOG[name]()
+    atom = 0.5 if name == "uniform" else 0.0
+    draws = simulate(atom_weight_mixture(atom, comp, 0.3), 12, seed=17)
+    samples = {"draws": draws, "edge": np.append(draws, comp.region[0]),
+               "off-atom": draws[draws != atom]}
+    return comp, atom, samples
+
+
+class TestArrayKernelBits:
+    """Bits recorded with the per-mixture kernel that recomputed the
+    component density for every p: each golden is the repr of the value."""
+
+    # (component, sample, measure id): curve values over GOLDEN_GRID
+    CURVES = {
+        ('exponential', 'draws', 'counting-lebesgue'):
+            (-12.758195081890605, -10.374261353465414, -11.022736751371156,
+             -13.76345279501423, -21.547093391235478),
+        ('exponential', 'draws', 'counting-2lebesgue'):
+            (-18.303372526370165, -15.919438797944977, -16.56791419585072,
+             -19.30863023949379, -27.09227083571505),
+        ('exponential', 'draws', 'counting-lebesgue-naive'):
+            (-3.5478547099144224, -5.558370136161671, -8.250148029131374,
+             -12.3367530192593, -21.125651328604178),
+        ('exponential', 'draws', 'lebesgue-only'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('exponential', 'edge', 'counting-lebesgue'):
+            (-15.06078017488465, -11.57823415779135, -11.715883931931101,
+             -14.120127738952963, -21.652453906893303),
+        ('exponential', 'edge', 'counting-2lebesgue'):
+            (-20.60595761936421, -17.123411602270913, -17.261061376410662,
+             -19.665305183432523, -27.197631351372873),
+        ('exponential', 'edge', 'counting-lebesgue-naive'):
+            (-3.5478547099144224, -5.558370136161671, -8.250148029131374,
+             -12.3367530192593, -21.125651328604178),
+        ('exponential', 'edge', 'lebesgue-only'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('exponential', 'off-atom', 'counting-lebesgue'):
+            (-3.547854709914422, -5.558370136161672, -8.250148029131374,
+             -12.336753019259298, -21.125651328604178),
+        ('exponential', 'off-atom', 'counting-2lebesgue'):
+            (-9.093032154393985, -11.103547580641234, -13.795325473610937,
+             -17.88193046373886, -26.67082877308374),
+        ('exponential', 'off-atom', 'counting-lebesgue-naive'):
+            (-3.547854709914422, -5.558370136161672, -8.250148029131374,
+             -12.336753019259298, -21.125651328604178),
+        ('exponential', 'off-atom', 'lebesgue-only'):
+            (-3.547854709914422, -5.558370136161672, -8.250148029131374,
+             -12.336753019259298, -21.125651328604178),
+        ('uniform', 'draws', 'counting-lebesgue'):
+            (-10.053224497238793, -7.669290768813603, -8.317766166719343,
+             -11.058482210362417, -18.84212280658367),
+        ('uniform', 'draws', 'counting-2lebesgue'):
+            (-15.598401941718356, -13.214468213293166, -13.862943611198906,
+             -16.603659654841977, -24.38730025106323),
+        ('uniform', 'draws', 'counting-lebesgue-naive'):
+            (-0.8428841252626103, -2.8533995515098596, -5.545177444479562,
+             -9.631782434607487, -18.420680743952367),
+        ('uniform', 'draws', 'lebesgue-only'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('uniform', 'edge', 'counting-lebesgue'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('uniform', 'edge', 'counting-2lebesgue'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('uniform', 'edge', 'counting-lebesgue-naive'):
+            (-0.9482446409204366, -3.210074495448592, -6.238324625039508,
+             -10.835755238933423, -20.723265836946414),
+        ('uniform', 'edge', 'lebesgue-only'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('uniform', 'off-atom', 'counting-lebesgue'):
+            (-0.8428841252626103, -2.8533995515098596, -5.545177444479562,
+             -9.631782434607487, -18.420680743952367),
+        ('uniform', 'off-atom', 'counting-2lebesgue'):
+            (-6.388061569742173, -8.398576995989423, -11.090354888959125,
+             -15.176959879087049, -23.96585818843193),
+        ('uniform', 'off-atom', 'counting-lebesgue-naive'):
+            (-0.8428841252626103, -2.8533995515098596, -5.545177444479562,
+             -9.631782434607487, -18.420680743952367),
+        ('uniform', 'off-atom', 'lebesgue-only'):
+            (-0.8428841252626103, -2.8533995515098596, -5.545177444479562,
+             -9.631782434607487, -18.420680743952367),
+        ('gaussian-truncated', 'draws', 'counting-lebesgue'):
+            (-27.321678117815004, -24.93774438938981, -25.586219787295548,
+             -28.32693583093862, -36.110576427159884),
+        ('gaussian-truncated', 'draws', 'counting-2lebesgue'):
+            (-32.86685556229456, -30.482921833869373, -31.131397231775107,
+             -33.87211327541819, -41.65575387163945),
+        ('gaussian-truncated', 'draws', 'counting-lebesgue-naive'):
+            (-21.217278707374376, -22.30065441843472, -24.24026724439831,
+             -27.694007236180532, -35.93662650753075),
+        ('gaussian-truncated', 'draws', 'lebesgue-only'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('gaussian-truncated', 'edge', 'counting-lebesgue'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('gaussian-truncated', 'edge', 'counting-2lebesgue'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('gaussian-truncated', 'edge', 'counting-lebesgue-naive'):
+            (-26.7388743091514, -28.07356444849265, -30.349649511077452,
+             -34.31421512662566, -43.65544668664399),
+        ('gaussian-truncated', 'edge', 'lebesgue-only'):
+            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+        ('gaussian-truncated', 'off-atom', 'counting-lebesgue'):
+            (-18.111337745838817, -20.12185317208607, -22.81363106505577,
+             -26.900236055183694, -35.68913436452858),
+        ('gaussian-truncated', 'off-atom', 'counting-2lebesgue'):
+            (-23.65651519031838, -25.667030616565633, -28.358808509535333,
+             -32.44541349966326, -41.23431180900814),
+        ('gaussian-truncated', 'off-atom', 'counting-lebesgue-naive'):
+            (-18.111337745838817, -20.12185317208607, -22.81363106505577,
+             -26.900236055183694, -35.68913436452858),
+        ('gaussian-truncated', 'off-atom', 'lebesgue-only'):
+            (-18.111337745838817, -20.12185317208607, -22.81363106505577,
+             -26.900236055183694, -35.68913436452858),
+    }
+
+    # (component, sample): grid_mle index set for correct, naive and
+    # lebesgue-only; None where every grid point has zero likelihood
+    GRID_MLE = {
+        ('exponential', 'draws'): ({1}, {0}, None),
+        ('exponential', 'edge'): ({1}, {0}, None),
+        ('exponential', 'off-atom'): ({0}, {0}, {0}),
+        ('uniform', 'draws'): ({1}, {0}, None),
+        ('uniform', 'edge'): (None, {0}, None),
+        ('uniform', 'off-atom'): ({0}, {0}, {0}),
+        ('gaussian-truncated', 'draws'): ({1}, {0}, None),
+        ('gaussian-truncated', 'edge'): (None, {0}, None),
+        ('gaussian-truncated', 'off-atom'): ({0}, {0}, {0}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMPONENT_CATALOG))
+    def test_golden_curves(self, name):
+        comp, atom, samples = _golden_case(name)
+        family = atom_weight_family(atom, comp, GOLDEN_GRID)
+        for sample_name, ys in samples.items():
+            for measure_id in MEASURE_IDS:
+                values = likelihood_curve(family, measure_id, ys).values
+                assert repr(values) == repr(self.CURVES[name, sample_name, measure_id]), \
+                    (sample_name, measure_id)
+
+    @pytest.mark.parametrize("name", sorted(COMPONENT_CATALOG))
+    def test_golden_grid_mle(self, name):
+        comp, atom, samples = _golden_case(name)
+        mixes = [atom_weight_mixture(atom, comp, p) for p in GOLDEN_GRID]
+        for sample_name, ys in samples.items():
+            for variant, want in zip(VARIANTS, self.GRID_MLE[name, sample_name]):
+                if want is None:
+                    with pytest.raises(ValueError, match="zero likelihood"):
+                        grid_mle(mixes, GOLDEN_GRID, ys, variant)
+                else:
+                    assert grid_mle(mixes, GOLDEN_GRID, ys, variant) == want
+
+    def test_component_density_once_per_curve(self, monkeypatch):
+        comp, atom, samples = _golden_case("exponential")
+        calls = []
+        original = type(comp).density
+        monkeypatch.setattr(type(comp), "density",
+                            lambda self, y: calls.append(1) or original(self, y))
+        family = atom_weight_family(atom, comp, GOLDEN_GRID)
+        likelihood_curve(family, "counting-lebesgue", samples["draws"])
+        mixes = [atom_weight_mixture(atom, comp, p) for p in GOLDEN_GRID]
+        grid_mle(mixes, GOLDEN_GRID, samples["draws"], "correct")
+        assert len(calls) == 2
+
+
+class TestNegativeControls:
+    def test_unweighted_continuous_part_fails_correct_mle(self, monkeypatch):
+        """Leaving the continuous part unweighted by 1 - p must fail the
+        mixture experiment's `correct-mle-near-truth` check."""
+        config = load_config()
+        config["mixture"]["n_samples"] = 2000
+
+        def outcome():
+            report, _ = run_mixture(config)
+            return {c.name: c.passed for c in report.checks}["correct-mle-near-truth"]
+
+        assert outcome()
+        original = mixture._log_density_curve
+
+        def unweighted(mixes, ys, variant, lebesgue_scale=1.0):
+            mixes = [SimpleNamespace(atoms=m.atoms,
+                                     components=tuple((1.0, c) for _, c in m.components))
+                     for m in mixes]
+            return original(mixes, ys, variant, lebesgue_scale)
+
+        monkeypatch.setattr(mixture, "_log_density_curve", unweighted)
+        assert not outcome()

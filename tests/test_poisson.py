@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from radonlik import likelihood_curve
+from radonlik.harness.config import load_config
+from radonlik.harness.experiments import run_poisson
 from radonlik.poisson import (MEASURE_PRODUCT, MEASURE_UNIT_POISSON, IntensityModel,
                               PointPattern, constant_intensity, location_density_mass,
                               loglik_jacod, loglik_product_measure, loglinear_intensity,
@@ -46,6 +49,35 @@ class TestPointPattern:
         pat = PointPattern(region=((0.0, 2.0), (0.0, 3.0)), locations=((1.0, 1.0),))
         assert pat.volume == pytest.approx(6.0)
         assert pat.count == 1
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["tuple", "ndarray"])
+    @pytest.mark.parametrize("region, locations, message", [
+        (((0.0, 1.0),), ((0.3,), (math.nan,)), "NaN"),
+        (((0.0, 1.0), (0.0, 2.0)), ((0.5, math.nan),), "NaN"),
+        (((0.0, 1.0),), ((0.3,), (1.5,)), "outside region"),
+        (((0.0, 1.0), (0.0, 2.0)), ((0.5, 1.0), (0.5, -0.1)), "outside region"),
+        (((0.0, 1.0),), ((0.3, 0.4),), "dimension"),
+        (((0.0, 1.0), (0.0, 2.0)), (0.3, 0.4), "dimension"),
+        (((0.0, 1.0), (0.0, 2.0)), ((0.3, 0.4, 0.5),), "dimension"),
+    ], ids=["nan-1d", "nan-2d", "outside-1d", "outside-2d", "too-many-coords",
+            "flat-list-in-2d", "three-coords-in-2d"])
+    def test_bad_location_rejected(self, region, locations, message, as_array):
+        if as_array:
+            locations = np.array(locations)
+        with pytest.raises(ValueError, match=message):
+            PointPattern(region=region, locations=locations)
+
+    def test_array_input_is_held_as_float_tuples(self):
+        region = ((0.0, 1.0), (0.0, 2.0))
+        as_tuple = PointPattern(region=region, locations=((0.25, 1.5), (1.0, 0.0)))
+        as_array = PointPattern(region=region, locations=np.array([[0.25, 1.5], [1, 0]]))
+        assert as_array == as_tuple
+        assert as_array.locations == ((0.25, 1.5), (1.0, 0.0))
+        assert all(type(x) is float for p in as_array.locations for x in p)
+        flat = PointPattern(region=((0.0, 1.0),), locations=np.array([0.3, 0.7]))
+        assert flat.locations == ((0.3,), (0.7,))
+        empty = PointPattern(region=region, locations=np.empty((0, 2)))
+        assert empty.locations == () and empty.count == 0
 
 
 class TestProductMeasureRoute:
@@ -109,10 +141,23 @@ class TestKernelGap:
             assert argmax_invariance(c1, c2)
 
     def test_quadrature_total_matches_closed_form(self):
-        model = loglinear_intensity(((0.3, 0.8),))
-        by_quad = IntensityModel(name="q", region=model.region, theta_grid=model.theta_grid,
-                                 rate=model.rate, cumulative=None)
-        assert by_quad.total((0.3, 0.8)) == pytest.approx(model.total((0.3, 0.8)), abs=1e-8)
+        # Lambda(theta) is closed-form only in the package; quadrature of the
+        # rate over the region is the cross-check, for every catalog intensity
+        models = [constant_intensity((0.5, 4.0), ((0.0, 1.5),)),
+                  loglinear_intensity(((0.3, 0.8), (1.0, -0.6), (0.2, 0.0)), ((0.2, 1.7),)),
+                  sinusoidal_intensity((0.5, 4.0), ((0.1, 1.4),), wobble=0.7)]
+        for model in models:
+            (lo, hi), = model.region
+            for theta in model.theta_grid:
+                by_quad, _ = quad(lambda s: model.rate(theta, np.array([[s]]))[0], lo, hi,
+                                  epsabs=1e-12, limit=200)
+                assert model.total(theta) == pytest.approx(by_quad, rel=1e-10, abs=1e-12)
+
+    def test_cumulative_is_required(self):
+        model = constant_intensity((1.0,))
+        with pytest.raises(TypeError):
+            IntensityModel(name="q", region=model.region, theta_grid=model.theta_grid,
+                           rate=model.rate)
 
 
 class TestThinning:
@@ -148,14 +193,171 @@ class TestThinning:
     ], ids=lambda m: m.name)
     def test_max_rate_bounds_intensity(self, model):
         (lo, hi), = model.region
+        points = np.linspace(lo, hi, 2001)[:, None]
         for theta in model.theta_grid:
-            top = max(model.intensity(theta, (s,)) for s in np.linspace(lo, hi, 2001))
+            top = model.intensity(theta, points).max()
             assert top <= model.max_rate(theta) <= top * (1.0 + 1e-5)
 
     def test_two_dimensional_region(self):
         model = constant_intensity((4.0,), region=((0.0, 1.0), (0.0, 2.0)))
         pattern = simulate_thinning(model, 4.0, bound=4.0, seed=5)
         assert all(len(p) == 2 for p in pattern.locations)
+
+
+class TestArrayKernelBits:
+    """Bits recorded with the per-point loops that thinning and both kernels
+    used before they became array code: each golden is the repr of the value.
+
+    The thinned locations pin the random stream (the order of the location
+    and acceptance draws, and each acceptance comparison); the kernel values
+    pin the intensity formulas, `math.log` and the sequential sum.
+    """
+
+    MODELS = {
+        "constant": (constant_intensity((1.0, 2.5, 4.0), ((0.0, 1.5),)), 2.5),
+        "sinusoidal": (sinusoidal_intensity((1.0, 3.0, 5.0), ((0.0, 1.5),)), 3.0),
+        "loglinear": (loglinear_intensity(((0.2, -0.9), (1.0, 0.6), (0.5, 0.0)), ((0.0, 1.5),)),
+                      (1.0, 0.6)),
+        "constant-2d": (constant_intensity((1.0, 2.0, 3.0), ((0.0, 1.0), (-1.0, 1.0))), 2.0),
+    }
+
+    # (model, seed): (locations, product-measure curve, unit-rate curve);
+    # seed 60 gives the sinusoidal model an empty pattern
+    GOLDEN = {
+        ('constant', 0): (
+            ((0.02479145329279364,), (1.3691333659165825,)),
+            [-2.193147180559945, -2.610565716811635, -3.920558458320164],
+            [0.0, -0.4174185362516898, -1.7274112777602186]),
+        ('constant', 1): (
+            ((0.6349896734588635,), (0.6137987045537419,), (0.04133866986460255,),
+             (0.8072149698289173,)),
+            [-4.678053830347945, -3.262890902851325, -3.632876385868382],
+            [0.0, 1.4151629274966204, 1.0451774444795625]),
+        ('constant', 2): (
+            ((0.900150788948481,), (0.28185161004990517,), (0.41245405185905715,)),
+            [-3.2917594692280554, -2.79288727360559, -3.632876385868383],
+            [0.0, 0.4988721956224653, -0.34111691664032806]),
+        ('sinusoidal', 0): (
+            ((1.2199053588004087,),),
+            [-1.259649005253561, -3.4793466027692417, -6.286830865187042],
+            [0.24035099474643912, -1.9793466027692417, -4.786830865187042]),
+        ('sinusoidal', 1): (
+            ((1.1302696630122098,), (0.4547922439374675,), (0.20106254587074712,),
+             (0.3051828610142244,), (1.125547008945079,), (1.44248579049568,),
+             (0.8118402833211513,)),
+            [-9.121684887918375, -4.749708753425394, -4.492239273247249],
+            [0.9034764731470415, 5.275452607640019, 5.5329220878181635]),
+        ('sinusoidal', 60): (
+            (),
+            [-1.6591549430918953, -4.977464829275686, -8.295774715459476],
+            [-0.15915494309189526, -3.477464829275686, -6.795774715459476]),
+        ('loglinear', 0): (
+            ((0.061460285904292034,), (1.2237803311822981,), (1.286106414881354,),
+             (1.0944831696449162,), (1.2947683835248298,), (0.4495678358060772,),
+             (0.04247950671819445,), (1.0059366220404455,)),
+            [-15.822622740567544, -5.3421410626241785, -9.077684808795441],
+            [-3.7180198378222964, 6.762461840121072, 3.0269180939498077]),
+        ('loglinear', 1): (
+            ((1.2415538907306627,), (0.8243905315095892,), (1.1302696630122098,),
+             (0.4547922439374675,), (0.20106254587074712,), (0.3051828610142244,),
+             (1.125547008945079,)),
+            [-12.884975774673526, -4.9681698037538, -7.4982432671156065],
+            [-2.859814413608112, 5.056991557311615, 2.5269180939498077]),
+        ('loglinear', 2): (
+            ((1.2213386108914204,), (0.28185161004990517,), (0.843398494170642,),
+             (1.4511539287405149,)),
+            [-6.801317752905309, -3.5120959337368287, -3.651135736398137],
+            [-2.1232639225573644, 1.1659578966111166, 1.0269180939498077]),
+        ('constant-2d', 0): (
+            ((0.016527635528529094, 0.6265404784005448), (0.6066357757671799, 0.4589931219679968)),
+            [-2.693147180559945, -3.3068528194400546, -4.495922603223725],
+            [0.0, -0.6137056388801093, -1.8027754226637802]),
+        ('constant-2d', 1): (
+            ((0.8277025938204418, -0.18160172726167745),
+             (0.027559113243068367, 0.5070262173496132),
+             (0.32973171649909216, 0.5768574068568086), (0.4534978894806515, -0.7319166055056705),
+             (0.20345524067614962, -0.475373319116301)),
+            [-6.787491742782047, -5.32175583998232, -5.2944302994414985],
+            [0.0, 1.4657359027997265, 1.4930614433405491]),
+        ('constant-2d', 2): (
+            ((0.600100525965654, 0.45712105362358924), (0.05514662733306819, -0.4500612641879238),
+             (0.562265662780428, -0.6998754733893278)),
+            [-3.7917594692280554, -3.712317927548219, -4.495922603223725],
+            [0.0, 0.07944154167983597, -0.7041631339956704]),
+    }
+
+    # 41-point patterns, where a pairwise sum or np.exp would move the last bits:
+    # (model, theta) at seed 3 -> (count, product-measure curve, unit-rate curve)
+    DENSE = {
+        "sinusoidal": ((sinusoidal_intensity((20.0, 30.0, 40.0), ((0.0, 1.5),)), 30.0), (
+            41,
+            [-18.57807223379855, -18.545552232282844, -23.342136692678775],
+            [96.95613954766306, 96.98865954917883, 92.19207508878291])),
+        "loglinear": ((loglinear_intensity(((3.0, 0.6), (3.5, -0.2), (2.5, 1.0)), ((0.0, 1.5),)),
+                       (3.0, 0.6)), (
+            41,
+            [-17.191742075380578, -21.01681725937159, -16.109884503926985],
+            [98.34246970608113, 94.51739452209009, 99.42432727753472])),
+    }
+
+    @staticmethod
+    def _curves(model, pattern):
+        return ([loglik_product_measure(model, th, pattern) for th in model.theta_grid],
+                [loglik_jacod(model, th, pattern) for th in model.theta_grid])
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_golden_patterns_and_curves(self, key):
+        name, seed = key
+        model, theta = self.MODELS[name]
+        locations, product, unit = self.GOLDEN[key]
+        pattern = simulate_thinning(model, theta, model.max_rate(theta), seed)
+        assert repr(pattern.locations) == repr(locations)
+        assert repr(self._curves(model, pattern)) == repr((product, unit))
+
+    @pytest.mark.parametrize("name", sorted(DENSE))
+    def test_golden_dense_curves(self, name):
+        (model, theta), (count, product, unit) = self.DENSE[name]
+        pattern = simulate_thinning(model, theta, model.max_rate(theta), 3)
+        assert pattern.count == count
+        assert repr(self._curves(model, pattern)) == repr((product, unit))
+
+    def test_one_intensity_call_per_thinning_and_per_theta(self, monkeypatch):
+        calls = []
+        original = IntensityModel.intensity
+
+        def counting(model, theta, points):
+            calls.append(len(np.atleast_2d(points)))
+            return original(model, theta, points)
+
+        monkeypatch.setattr(IntensityModel, "intensity", counting)
+        model, theta = self.MODELS["sinusoidal"]
+        pattern = simulate_thinning(model, theta, model.max_rate(theta), 1)
+        assert len(calls) == 1 and calls[0] > pattern.count
+        calls.clear()
+        family = pattern_model_family(model)
+        likelihood_curve(family, MEASURE_PRODUCT, pattern)
+        likelihood_curve(family, MEASURE_UNIT_POISSON, pattern)
+        assert calls == [pattern.count] * (2 * len(model.theta_grid))
+
+
+class TestNegativeControls:
+    """A halved Lambda(theta) must fail the poisson experiment's named checks."""
+
+    CHECKS = ("thinning-count-gof", "homogeneous-mle", "location-density-normalized")
+
+    @staticmethod
+    def _outcomes():
+        config = load_config()
+        config["poisson"].update(patterns=5, replicates=500)
+        report, _ = run_poisson(config)
+        return {c.name: c.passed for c in report.checks}
+
+    def test_halved_total_fails_named_checks(self, monkeypatch):
+        assert all(self._outcomes()[name] for name in self.CHECKS)
+        original = IntensityModel.total
+        monkeypatch.setattr(IntensityModel, "total", lambda m, th: 0.5 * original(m, th))
+        outcomes = self._outcomes()
+        assert not any(outcomes[name] for name in self.CHECKS), outcomes
 
 
 class TestMLE:
