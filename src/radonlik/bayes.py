@@ -77,8 +77,13 @@ class Prior:
         # theta = (1 + x) / 2 turns the Jacobi weight (1 - x)^(b-1) (1 + x)^(a-1)
         # into a multiple of the Beta(a, b) density; 32 nodes integrate every
         # polynomial of degree below 64 in theta exactly
-        x, w = roots_jacobi(32, b - 1.0, a - 1.0)
-        return cls(kind="beta", nodes=(1.0 + x) / 2.0, weights=w / w.sum(),
+        with np.errstate(all="ignore"):   # a failed rule raises below
+            x, w = roots_jacobi(32, b - 1.0, a - 1.0)
+            weights = w / w.sum()
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"beta({a}, {b}) has no finite 32-node Gauss-Jacobi rule: "
+                             "its weights overflow")
+        return cls(kind="beta", nodes=(1.0 + x) / 2.0, weights=weights,
                    thetas=np.linspace(0.0, 1.0, 1025), a=a, b=b)
 
     @classmethod

@@ -315,16 +315,43 @@ def _mc_steps(t: float, step: float, n_replicates: int) -> int:
     return m
 
 
+def _bridge_controls(bridge: np.ndarray, frac: np.ndarray, dt: float, out: np.ndarray,
+                     scratch: np.ndarray) -> None:
+    """Fill `out` (3, rows) with the theta-free controls of the zero-pinned
+    (rows, m + 1) `bridge`: trapz(B), trapz(frac * B), and trapz(B^2) less its
+    exact mean dt^2 (m^2 - 1) / 6 under the discrete pinned walk, where
+    Var(B_k) = dt k (m - k) / m. All three have mean 0. The end columns are 0,
+    so each trapezoid sum is dt times a plain row sum. `scratch` is a
+    (rows, m + 1) work buffer.
+    """
+    m = bridge.shape[1] - 1
+    np.add.reduce(bridge, axis=1, out=out[0])
+    np.multiply(bridge, frac, out=scratch)
+    np.add.reduce(scratch, axis=1, out=out[1])
+    np.square(bridge, out=scratch)
+    np.add.reduce(scratch, axis=1, out=out[2])
+    np.multiply(out, dt, out=out)
+    np.subtract(out[2], dt * dt * (m * m - 1) / 6.0, out=out[2])
+
+
 def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicates: int,
-                        seed, chunk: int) -> list[tuple[float, float]]:
-    """Sums of the drift-correction weights and of their squares, per theta.
+                        seed, chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums over the replicates of the drift-correction weight w and of the
+    controls c of `_bridge_controls`: (w_sums, c_sums, c_cross), where row k
+    of w_sums holds the sums of w, w^2 and w c for theta k, c_sums the sums
+    of c and c_cross those of c c^T. There are no controls for m < 3, where
+    the three are linearly dependent (for m = 2 the first two are
+    proportional).
 
     `ends` holds (theta, x0, x1) triples. Every theta is weighed against the
     same pinned Brownian bridges, drawn once from `seed`; a theta's result
-    is the one a separate run with that seed gives. Each chunk of `chunk`
+    is the one a separate run with that seed gives. The controls do not
+    depend on theta, so their sums are taken once. Each chunk of `chunk`
     rows goes through the pipeline in row blocks with preallocated buffers:
-    draw, scale, cumsum, pin, `_drift_corrections` for every theta, and the
-    weights of all thetas at once. Weights are summed per chunk, in chunk order.
+    draw, scale, cumsum, pin, the controls, `_drift_corrections` for every
+    theta, and the weights of all thetas at once. Sums are taken per chunk
+    with ufunc reductions, in chunk order; a BLAS product would make the bits
+    follow the thread count.
 
     When there is more than one block, one worker thread draws block j + 1's
     normals into the second of two walk buffers while this thread pins and
@@ -339,6 +366,7 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     frac = np.linspace(0.0, 1.0, m + 1)
     shifts = np.array([[spec.drift_integral_fn(x1, th) - spec.drift_integral_fn(x0, th)]
                        for th, x0, x1 in ends])
+    p = 3 if m >= 3 else 0
     width = min(chunk, n_replicates)
     block = max(1, min(width, _BLOCK_BYTES // (8 * (m + 1))))
     chunks = [min(chunk, n_replicates - done) for done in range(0, n_replicates, chunk)]
@@ -348,8 +376,10 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     path = np.empty((block, m + 1)) if len(ends) > 1 else bridge
     integrand = np.empty((block, m + 1))
     weights = np.empty((len(ends), width))
-    totals = [0.0] * len(ends)
-    squares = [0.0] * len(ends)
+    controls = np.empty((p, width))
+    w_sums = np.zeros((len(ends), 2 + p))
+    c_sums = np.zeros(p)
+    c_cross = np.zeros((p, p))
     rng = np.random.default_rng(seed)
 
     def draw(j):
@@ -365,25 +395,49 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
                 b = len(walk)
                 w = weights[:, lo:lo + b]
                 _pin_walk(walk, scale, frac, bridge[:b])
+                if p:
+                    _bridge_controls(bridge[:b], frac, dt, controls[:, lo:lo + b],
+                                     integrand[:b])
                 # the walk buffer is free once the bridges are pinned
                 _drift_corrections(spec, bridge[:b], ends, dt, w, path[:b], integrand[:b], walk)
                 np.subtract(shifts, w, out=w)
                 np.exp(w, out=w)
+            c = controls[:, :rows]
+            c_sums += np.sum(c, axis=1)
+            c_cross += np.sum(c[:, None] * c, axis=2)
             for k, w in enumerate(weights[:, :rows]):
-                totals[k] += float(np.sum(w))
-                squares[k] += float(np.sum(w * w))
-    return list(zip(totals, squares))
+                w_sums[k, 0] += np.sum(w)
+                w_sums[k, 1] += np.sum(w * w)
+                w_sums[k, 2:] += np.sum(w * c, axis=1)
+    return w_sums, c_sums, c_cross
 
 
-def _density_from_sums(total: float, total_sq: float, n_replicates: int, t: float,
-                       x0: float, x1: float) -> tuple[float, float]:
-    """(estimate, standard error): the free Gaussian density times the mean
-    weight, and its SE from the sample variance of the weights."""
-    mean = total / n_replicates
-    var = max(0.0, (total_sq - n_replicates * mean * mean) / (n_replicates - 1))
+def _density_from_sums(w_sums: np.ndarray, c_sums: np.ndarray, c_cross: np.ndarray,
+                       n_replicates: int, t: float, x0: float,
+                       x1: float) -> tuple[float, float]:
+    """(estimate, standard error) by regression control variates: the free
+    Gaussian density times the mean weight adjusted by the mean-zero controls.
+
+    `w_sums` holds one theta's sums of w, w^2 and w c, and `c_sums` and
+    `c_cross` the sums of c and c c^T, over the replicates
+    (`_bridge_weight_sums`). The coefficients beta solve the centred normal
+    equations of w on the p controls, the estimate is
+    mean(w) - beta . mean(c), and the SE comes from the residual variance
+    with n - 1 - p degrees of freedom (n - 4 with the three controls). Beta
+    is fitted on the same draws, which biases the estimate by O(1/n), small
+    beside its O(1/sqrt(n)) SE. With p = 0 this is the plain weight mean
+    and its sample SE.
+    """
+    w_sum, w_sq, w_c = w_sums[0], w_sums[1], w_sums[2:]
+    mean_w, mean_c = w_sum / n_replicates, c_sums / n_replicates
+    cov_cw = w_c - c_sums * mean_w
+    beta = np.linalg.solve(c_cross - np.outer(c_sums, mean_c), cov_cw)
+    adjusted = mean_w - np.sum(beta * mean_c)
+    var = max(0.0, (w_sq - w_sum * mean_w - np.sum(beta * cov_cw))
+              / (n_replicates - 1 - len(c_sums)))
     z = (x1 - x0) / math.sqrt(t)
     prefactor = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * t)
-    return prefactor * mean, prefactor * math.sqrt(var / n_replicates)
+    return prefactor * float(adjusted), prefactor * math.sqrt(var / n_replicates)
 
 
 def transition_density_mc(spec: SDESpec, theta, t: float, x0: float, x1: float,
@@ -392,13 +446,16 @@ def transition_density_mc(spec: SDESpec, theta, t: float, x0: float, x1: float,
     """Transition density of the unit-diffusion process by bridge sampling.
 
     Returns (estimate, standard error). The estimate is the free Gaussian
-    density times the average drift-correction weight along pinned Brownian
-    paths from x0 to x1; replicates accumulate in fixed chunk order.
+    density times the mean drift-correction weight along pinned Brownian
+    paths from x0 to x1, adjusted by regression on three theta-free controls
+    of the bridges with exact means (`_bridge_controls`, none for fewer than
+    3 steps; see `_density_from_sums`); replicates accumulate in fixed chunk
+    order.
     """
     m = _mc_steps(t, step, n_replicates)
-    [(total, total_sq)] = _bridge_weight_sums(spec, ((theta, x0, x1),), t, m, n_replicates,
-                                              seed, chunk)
-    return _density_from_sums(total, total_sq, n_replicates, t, x0, x1)
+    [w_sums], c_sums, c_cross = _bridge_weight_sums(spec, ((theta, x0, x1),), t, m,
+                                                    n_replicates, seed, chunk)
+    return _density_from_sums(w_sums, c_sums, c_cross, n_replicates, t, x0, x1)
 
 
 def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
@@ -423,10 +480,10 @@ def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
         dt_i = obs.times[i + 1] - obs.times[i]
         m = _mc_steps(dt_i, dt_i * step_fraction, n_replicates)
         ends = tuple((theta_grid[k], x[k][i], x[k][i + 1]) for k in live)
-        sums = _bridge_weight_sums(spec, ends, dt_i, m, n_replicates,
-                                   _interval_seed(seed, i), _CHUNK_ROWS)
-        for k, (theta, x0, x1), (total, total_sq) in zip(live, ends, sums):
-            est, _ = _density_from_sums(total, total_sq, n_replicates, dt_i, x0, x1)
+        w_sums, c_sums, c_cross = _bridge_weight_sums(spec, ends, dt_i, m, n_replicates,
+                                                      _interval_seed(seed, i), _CHUNK_ROWS)
+        for k, (theta, x0, x1), row in zip(live, ends, w_sums):
+            est, _ = _density_from_sums(row, c_sums, c_cross, n_replicates, dt_i, x0, x1)
             if est <= 0.0:
                 curve[k] = NEG_INF
                 continue

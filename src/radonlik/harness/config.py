@@ -15,6 +15,7 @@ from pathlib import Path
 import jsonschema
 import yaml
 
+from ..bayes import Prior
 from ..diffusion import SDE_CATALOG
 from ..expfam import EXPFAM_CATALOG
 from ..mixture import COMPONENT_CATALOG
@@ -54,7 +55,7 @@ DEFAULT_CONFIG = {
     "diffusion": {
         "sde": "ou",
         "mc_replicates": 20000,
-        "mc_step": 1e-3,
+        "mc_step": 4e-3,
         "observations": None,
     },
     "bayes": {
@@ -212,7 +213,8 @@ def load_config(path=None) -> dict:
 def prior_beta_params(label: str) -> tuple[float, float]:
     """The (a, b) of a prior label's Beta law: (1, 1) for uniform-grid.
 
-    Raises ConfigError unless a and b are finite and positive.
+    Raises ConfigError unless a and b are finite and positive and a
+    `beta(a,b)` label has a finite quadrature rule (`Prior.beta`).
     """
     if label == "uniform-grid":
         return 1.0, 1.0
@@ -225,6 +227,10 @@ def prior_beta_params(label: str) -> tuple[float, float]:
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
         raise ConfigError(f"config error at bayes/priors: {label!r}: "
                           "a and b must be finite and positive")
+    try:
+        Prior.beta(a, b)
+    except ValueError as exc:
+        raise ConfigError(f"config error at bayes/priors: {label!r}: {exc}") from exc
     return a, b
 
 

@@ -486,10 +486,7 @@ def _parse_prior(label: str) -> tuple[bayes.Prior, float, float]:
     a, b = prior_beta_params(label)
     if label == "uniform-grid":
         return bayes.Prior.uniform_grid(), a, b
-    try:
-        return bayes.Prior.beta(a, b), a, b
-    except ValueError as exc:
-        raise ConfigError(f"config error at bayes/priors: {label!r}: {exc}") from exc
+    return bayes.Prior.beta(a, b), a, b
 
 
 def run_bayes(config: dict) -> tuple[Report, Curves]:

@@ -46,6 +46,9 @@ class TestPrior:
         lambda: Prior.from_grid([0.5], [1.0]),
         lambda: Prior.beta(math.nan, 2.0),
         lambda: Prior.beta(2.0, math.inf),
+        lambda: Prior.beta(2000.0, 3.0),
+        lambda: Prior.beta(1e4, 1.0),
+        lambda: Prior.beta(5e5, 1.0),
         lambda: Prior.point_mass(math.nan),
         lambda: Prior.point_mass(-math.inf),
         lambda: posterior(_constant_family(math.nan), "counting", Prior.beta(2.0, 3.0), 0),
@@ -53,7 +56,8 @@ class TestPrior:
         lambda: marginal_density(_constant_family(math.nan), "counting",
                                  Prior.uniform_grid(nodes=1025), 0),
     ], ids=["nan-density", "inf-density", "unsorted-grid", "repeated-node", "nan-node",
-            "inf-node", "one-node", "nan-a", "inf-b", "nan-point", "inf-point",
+            "inf-node", "one-node", "nan-a", "inf-b", "overflowing-rule-2000-3",
+            "overflowing-rule-1e4-1", "overflowing-rule-5e5-1", "nan-point", "inf-point",
             "nan-kernel-posterior", "inf-kernel-posterior", "nan-kernel-marginal"])
     def test_bad_input_raises_where_it_enters(self, build):
         with pytest.raises(ValueError) as info:

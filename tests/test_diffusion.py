@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
@@ -21,6 +22,8 @@ from radonlik.diffusion import (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED, S
                                 ou_exact_transition_density, ou_spec, sample_bridge_set,
                                 sample_brownian_bridge, simulate_ou,
                                 transform_observations, transition_density_mc)
+from radonlik.harness import load_config
+from radonlik.harness.experiments import run_diffusion
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -312,6 +315,26 @@ class TestJointDensity:
         assert report.passed and argmax_invariance(c1, c2)
 
 
+class TestNegativeControls:
+    def test_halved_gaussian_increment_fails_zero_drift_check(self, monkeypatch):
+        """A halved Gaussian increment term must fail the diffusion
+        experiment's `zero-drift-gaussian-reduction` check. At zero drift the
+        density sees the transformed values only through the standardized
+        increment z, so scaling them by 1/sqrt(2) halves exactly -z^2/2."""
+        config = load_config()
+        config["diffusion"]["mc_replicates"] = 200
+
+        def outcome():
+            report, _ = run_diffusion(config)
+            return {c.name: c.passed for c in report.checks}["zero-drift-gaussian-reduction"]
+
+        assert outcome()
+        transform = diffusion.transform_observations
+        monkeypatch.setattr(diffusion, "transform_observations", lambda spec, obs, theta: tuple(
+            x / math.sqrt(2.0) for x in transform(spec, obs, theta)))
+        assert not outcome()
+
+
 def _fixed_bridge_oracle_z(theta: float, t: float, y0: float, y1: float) -> float:
     """z-score of the fixed-bridge Radon-Nikodym estimate of the OU
     transition density against its closed form.
@@ -380,28 +403,137 @@ class TestTransitionDensityMC:
             transition_density_mc(ou_spec(), 1.0, 1.0, 0.0, 0.5, 50, 1e-2, seed=0)
 
 
+def _plain_estimate(theta: float, t: float, x0: float, x1: float, n: int, m: int,
+                    seed) -> tuple[float, float]:
+    """The plain bridge-MC estimate for the OU spec, one row at a time: the
+    free Gaussian density times the mean Girsanov weight, and its sample SE.
+    The bridges are the ones a one-block call draws."""
+    dt = t / m
+    frac = np.linspace(0.0, 1.0, m + 1)
+    bridges = _bridge_rows(np.random.default_rng(seed), n, m, dt)
+    weights = []
+    for bridge in bridges:
+        path = bridge + x0 + frac * (x1 - x0)
+        integral = np.trapezoid(0.5 * (theta * theta * path * path - theta), dx=dt)
+        weights.append(math.exp(-0.5 * theta * (x1 * x1 - x0 * x0) - integral))
+    z = (x1 - x0) / math.sqrt(t)
+    prefactor = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * t)
+    return (prefactor * float(np.mean(weights)),
+            prefactor * float(np.std(weights, ddof=1)) / math.sqrt(n))
+
+
+def _oracle_z(point: tuple, n: int, step: float, seed) -> tuple[float, float]:
+    """(z-score, relative error) of one OU transition-density estimate."""
+    est, se = transition_density_mc(ou_spec(), *point, n, step, seed=seed)
+    exact = ou_exact_transition_density(*point)
+    return (est - exact) / se, abs(est - exact) / exact
+
+
+def _calibration_z(points: tuple, n: int, step: float, seeds: int) -> np.ndarray:
+    """z-scores over `seeds` independent estimates at each point, one row
+    per point."""
+    return np.array([[_oracle_z(point, n, step, [31, j, k])[0] for k in range(seeds)]
+                     for j, point in enumerate(points)])
+
+
+class TestControlVariates:
+    """The regression control-variate estimator: its controls, its rule for
+    fewer than 3 steps, its calibration over seeds, and defects that the
+    oracles must catch."""
+
+    # two diffusion-experiment points at the default step; t = 0.5 has the
+    # largest discretisation bias measured
+    CALIBRATION = ((1.0, 0.5, 0.3, -0.2), (1.5, 0.7, 0.2, 0.9))
+
+    def test_controls_are_the_trapezoid_sums_less_their_means(self):
+        m, dt = 40, 0.025
+        rows = _bridge_rows(np.random.default_rng(12), 5, m, dt)
+        frac = np.linspace(0.0, 1.0, m + 1)
+        out = np.empty((3, 5))
+        diffusion._bridge_controls(rows, frac, dt, out, np.empty_like(rows))
+        mean_sq = dt * dt * (m * m - 1) / 6.0
+        for r, bridge in enumerate(rows):
+            assert out[0, r] == pytest.approx(np.trapezoid(bridge, dx=dt), rel=1e-12, abs=1e-15)
+            assert out[1, r] == pytest.approx(np.trapezoid(frac * bridge, dx=dt),
+                                              rel=1e-12, abs=1e-15)
+            assert out[2, r] == pytest.approx(np.trapezoid(bridge * bridge, dx=dt) - mean_sq,
+                                              rel=1e-12, abs=1e-15)
+
+    def test_control_means_are_exact_for_the_discrete_walk(self):
+        # 10 steps, where the continuous-time mean t^2 / 6 of trapz(B^2) is 1% off
+        m, dt, n = 10, 0.1, 2 * 10 ** 5
+        rows = _bridge_rows(np.random.default_rng(13), n, m, dt)
+        out = np.empty((3, n))
+        diffusion._bridge_controls(rows, np.linspace(0.0, 1.0, m + 1), dt, out,
+                                   np.empty_like(rows))
+        se = out.std(axis=1, ddof=1) / math.sqrt(n)
+        assert np.all(np.abs(out.mean(axis=1)) <= 3.0 * se)
+        assert abs(out[2].mean() + dt * dt / 6.0) > 3.0 * se[2]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fewer_than_three_steps_use_no_controls(self, m):
+        point, n = (1.0, 1.0, 0.0, 0.5), 300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, se = transition_density_mc(ou_spec(), *point, n, 1.0 / m, seed=21)
+        want_est, want_se = _plain_estimate(*point, n, m, seed=21)
+        assert est == pytest.approx(want_est, rel=1e-12)
+        assert se == pytest.approx(want_se, rel=1e-9, abs=1e-15)
+
+    def test_z_scores_are_calibrated_over_seeds(self):
+        z = _calibration_z(self.CALIBRATION, 1000, 4e-3, 200)
+        assert np.all(np.abs(z.mean(axis=1)) <= 0.3), z.mean(axis=1)
+        sd = z.std(axis=1, ddof=1)
+        assert np.all((sd >= 0.85) & (sd <= 1.2)), sd
+        assert np.mean(np.abs(z) > 3.0) <= 0.02
+
+    def test_flipped_coefficients_fail_calibration(self, monkeypatch):
+        # any coefficients leave the estimate unbiased, since the controls have
+        # mean 0, so only the SE can show the flip: it omits the cross term
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -solve(a, b))
+        z = _calibration_z(self.CALIBRATION, 1000, 4e-3, 200)
+        assert np.all(z.std(axis=1, ddof=1) > 1.2)
+
+    def test_continuous_time_control_mean_fails_oracle(self, monkeypatch):
+        # 10 steps on [0, 1]: the continuous-time mean t^2 / 6 is dt^2 / 6 too large
+        point, n, step, seed = (0.5, 1.0, -0.5, 0.5), 4000, 0.1, [77, 0]
+        z, rel = _oracle_z(point, n, step, seed)
+        assert abs(z) <= 3.0 and rel < 0.02
+        controls = diffusion._bridge_controls
+
+        def continuous_mean(bridge, frac, dt, out, scratch):
+            controls(bridge, frac, dt, out, scratch)
+            m = bridge.shape[1] - 1
+            out[2] += dt * dt * (m * m - 1) / 6.0 - (m * dt) ** 2 / 6.0
+
+        monkeypatch.setattr(diffusion, "_bridge_controls", continuous_mean)
+        z, _ = _oracle_z(point, n, step, seed)
+        assert abs(z) > 3.0
+
+
 class TestBridgeMCBits:
-    """Golden values recorded from the unblocked chunk loop (one temporary
-    per stage, one transition_density_mc call per (theta, interval)); the
-    blocked pipeline must reproduce them bit for bit."""
+    """Golden values of the control-variate estimator, recorded with the
+    default block size; every block size, with or without the draw worker
+    thread, must reproduce them bit for bit."""
 
     GOLDEN = {
         # 20000 replicates x 750 steps, as in the diffusion experiment
         "ou": ((ou_spec(), 1.0, 0.75, 0.0, 0.5, 20000, 1e-3), dict(seed=7),
-               (0.46421918417083885, 0.00019816417015055182)),
+               (0.46399568660795776, 1.2328742938133036e-05)),
         # a ragged last chunk, and 1000 steps so a block is smaller than a chunk
         "ragged-fine": ((ou_spec(), 1.3, 1.0, 0.2, -0.4, 2048 + 37, 1e-3), dict(seed=[5, 2]),
-                        (0.4994296330586883, 0.0013637746551743862)),
+                        (0.500276023912377, 0.00018993052109246588)),
         # a ragged last chunk, and 10 steps so one block holds a whole chunk
         "ragged-coarse": ((ou_spec(), 0.8, 0.5, 0.1, 0.3, 2048 + 37, 0.05), dict(seed=3),
-                          (0.6285925738130146, 0.0002362576726341813)),
+                          (0.6285405496901586, 4.096272962863466e-06)),
         # 70000 steps: one row per block
         "one-row-blocks": ((ou_spec(), 1.0, 1.0, 0.0, 0.5, 300, 1.0 / 70000), dict(seed=4),
-                           (0.4493387301050455, 0.0027276870640693496)),
+                           (0.45420737535828, 0.00032044037648620144)),
         "logistic": ((logistic_spec(), 0.9, 0.6, 0.1, 0.4, 5000, 0.002), dict(seed=8),
-                     (0.4280926539044677, 0.000536372827163928)),
+                     (0.42790222365355146, 9.466095268323925e-05)),
         "small-chunk": ((brownian_drift_spec(), 0.7, 1.0, 0.0, 1.0, 250, 0.01),
-                        dict(seed=9, chunk=100), (0.38138781546052397, 3.27000367098359e-10)),
+                        dict(seed=9, chunk=100), (0.38138781546052397, 3.289882295849175e-10)),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -420,7 +552,7 @@ class TestBridgeMCBits:
         obs = simulate_ou(1.0, 0.0, tuple(np.linspace(0.0, 2.5, 6)), 3)
         idx, curve = mle_theta(ou_spec(), obs, (0.5, 1.0, 1.5), 300, 0.02, seed=11)
         assert idx == frozenset({2})
-        assert curve == [-7.638974329068154, -7.415677605944247, -7.399053013511613]
+        assert curve == [-7.63866671882546, -7.414498018807215, -7.396590278477803]
 
     def test_golden_bridges(self):
         assert sample_brownian_bridge(1.0, 0.125, seed=0).tolist() == [

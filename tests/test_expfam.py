@@ -12,6 +12,8 @@ from radonlik.expfam import (DivergentNormalizerError, DominatingMeasure,
                              factorization_ratio_test, gaussian_known_var_family,
                              iid_family, log_densities, log_density, poisson_family,
                              tilt_to_lambda)
+from radonlik.harness import load_config
+from radonlik.harness.experiments import run_proportionality
 
 
 class TestLogDensity:
@@ -208,3 +210,22 @@ class TestMLEInvariance:
         base = likelihood_curve(model, "base", sample)
         for mid in ("lambda-tilt", "wiggle"):
             assert argmax_invariance(base, likelihood_curve(model, mid, sample))
+
+
+class TestNegativeControls:
+    def test_halved_log_partition_fails_argmax_invariance(self, monkeypatch):
+        """A halved log-partition must fail the proportionality experiment's
+        `expfam-argmax-invariant` check. Every kernel shares the defect, so
+        the curves stay proportional; the check fails on one instance of 100
+        only, a symmetric Bernoulli curve whose two tied maxima the defect
+        splits by rounding."""
+
+        def outcome():
+            report, _ = run_proportionality(load_config())
+            return {c.name: c.passed for c in report.checks}["expfam-argmax-invariant"]
+
+        assert outcome()
+        original = ExponentialFamily.log_partition
+        monkeypatch.setattr(ExponentialFamily, "log_partition",
+                            lambda fam, theta: 0.5 * original(fam, theta))
+        assert not outcome()

@@ -210,7 +210,8 @@ class TestCLI:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("label", ["point(0.3)", "beta(0,2)", "beta(1.2.3,2)"])
+    @pytest.mark.parametrize("label", ["point(0.3)", "beta(0,2)", "beta(1.2.3,2)",
+                                       "beta(2000,3)"])
     def test_bad_prior_label_exit_two(self, tmp_path, capsys, label):
         config = tmp_path / "bayes.yaml"
         config.write_text(f'bayes:\n  priors: ["{label}"]\n')
@@ -219,7 +220,7 @@ class TestCLI:
         assert not (tmp_path / "bayes").exists()
 
     @pytest.mark.parametrize("label", ["beta(0,2)", "beta(2,0.0)", "beta(1.2.3,2)",
-                                       "beta(2," + "9" * 400 + ")"])
+                                       "beta(2," + "9" * 400 + ")", "beta(10000,1)"])
     def test_bad_prior_label_rejected_at_load(self, tmp_path, capsys, label):
         config = tmp_path / "bayes.yaml"
         config.write_text(f'bayes:\n  priors: ["uniform-grid", "{label}"]\n')
