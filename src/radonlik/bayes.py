@@ -171,8 +171,11 @@ def posterior(family: ModelFamily, measure_id: str, prior: Prior, x) -> Posterio
 
 @dataclass(frozen=True)
 class PredictiveMeasure:
-    """lambda(A) = integral of the marginal density m over A against the base."""
+    """lambda(A) = integral of the marginal density m over A against the base,
+    for the likelihood of `family` under `measure_id`."""
 
+    family: ModelFamily
+    measure_id: str
     base: DominatingMeasure
     marginal: Callable            # m: x -> [0, inf)
 
@@ -197,15 +200,14 @@ class PredictiveMeasure:
 def predictive_measure(family: ModelFamily, measure_id: str, prior: Prior,
                        base: DominatingMeasure) -> PredictiveMeasure:
     """The marginal is memoized per x: set masses revisit the same atoms."""
-    return PredictiveMeasure(base=base, marginal=functools.cache(
-        lambda x: marginal_density(family, measure_id, prior, x)))
+    marginal = functools.cache(lambda x: marginal_density(family, measure_id, prior, x))
+    return PredictiveMeasure(family=family, measure_id=measure_id, base=base, marginal=marginal)
 
 
-def predictive_invariance(family: ModelFamily, prior: Prior,
-                          bases: Sequence[tuple[str, DominatingMeasure]],
-                          test_sets: Sequence[dict], tol: float = 1e-8) -> bool:
-    """Set masses of the predictive measure agree across base choices."""
-    lambdas = [predictive_measure(family, mid, prior, meas) for mid, meas in bases]
+def predictive_invariance(lambdas: Sequence[PredictiveMeasure], test_sets: Sequence[dict],
+                          tol: float = 1e-8) -> bool:
+    """Set masses of the predictive measure agree across base choices: one
+    `PredictiveMeasure` per base, so the caller's memos are shared."""
     for spec in test_sets:
         masses = [lam.set_mass(atoms=spec.get("atoms", ()), interval=spec.get("interval"))
                   for lam in lambdas]
@@ -214,17 +216,18 @@ def predictive_invariance(family: ModelFamily, prior: Prior,
     return True
 
 
-def dominance_check(family: ModelFamily, measure_id: str, prior: Prior,
-                    base: DominatingMeasure) -> DominanceReport:
+def dominance_check(lam: PredictiveMeasure) -> DominanceReport:
     """Zero set of the marginal, per-theta mass on it, and support constancy.
 
-    Works on the finite atom space of the base measure. Support constancy of
-    the kernels forces dominance; that implication is asserted.
+    The zero set comes from `lam`'s memoized marginal. Works on the finite
+    atom space of its base. Support constancy of the kernels forces
+    dominance; that implication is asserted.
     """
+    family, measure_id, base = lam.family, lam.measure_id, lam.base
     atoms = base.atoms
     if not atoms:
         raise ValueError("dominance check requires a finite atom space")
-    zero_set = predictive_measure(family, measure_id, prior, base).zero_set(atoms)
+    zero_set = lam.zero_set(atoms)
     # likelihood[j, i]: the kernel at the j-th atom and the i-th grid theta
     likelihood = np.exp([likelihood_curve(family, measure_id, x).values for x in atoms])
     on_zero_set = [x in zero_set for x in atoms]

@@ -8,6 +8,7 @@ the output directory. Results are pure functions of (config, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from pathlib import Path
@@ -338,8 +339,7 @@ def run_poisson(config: dict) -> tuple[Report, Curves]:
     theta_gof = grid[len(grid) // 2]
     bound = model.max_rate(theta_gof)
     rng = _rng(seed, _STREAM["poisson"], 10 ** 6)
-    counts = np.array([poisson.simulate_thinning(model, theta_gof, bound, _child_seed(rng)).count
-                       for _ in range(cfg["replicates"])])
+    counts = poisson.thinning_counts(model, theta_gof, bound, _child_seed(rng), cfg["replicates"])
     pvalue = _poisson_count_gof(counts, model.total(theta_gof))
     report.add("thinning-count-gof", pvalue >= 0.001, p_value=pvalue,
                mean_count=float(np.mean(counts)), expected=model.total(theta_gof))
@@ -494,12 +494,22 @@ def run_bayes(config: dict) -> tuple[Report, Curves]:
     cfg = config["bayes"]
     report = Report(experiment="bayes", seed=seed, tolerance=tol)
     priors = [_parse_prior(label) for label in cfg["priors"]]
+    thetas = tuple(np.linspace(0.05, 0.95, 10))
+
+    @functools.cache
+    def predictive(prior_index: int, n: int) -> dict[str, bayes.PredictiveMeasure]:
+        """One memoized predictive measure per base, shared by every check."""
+        family, measures = bayes.binomial_family(n, thetas)
+        return {mid: bayes.predictive_measure(family, mid, priors[prior_index][0], base)
+                for mid, base in measures.items()}
+
     worst_marg = worst_post = worst_inv = worst_resid = 0.0
-    for prior, a, b in priors:
+    for i, (prior, a, b) in enumerate(priors):
         for n in range(1, cfg["n_max"] + 1):
-            family, measures = bayes.binomial_family(n, tuple(np.linspace(0.05, 0.95, 10)))
+            lam = predictive(i, n)["counting"]
+            family = lam.family
             for x in range(n + 1):
-                m = bayes.marginal_density(family, "counting", prior, x)
+                m = lam.marginal(x)
                 worst_marg = max(worst_marg, abs(m - _beta_binomial_closed(n, x, a, b)))
             x_probe = n // 2
             post1 = bayes.posterior(family, "counting", prior, x_probe)
@@ -516,32 +526,29 @@ def run_bayes(config: dict) -> tuple[Report, Curves]:
 
     # predictive measure: invariance across bases and total mass
     n = cfg["n_max"]
-    family, measures = bayes.binomial_family(n, tuple(np.linspace(0.05, 0.95, 10)))
-    prior = priors[0][0]
+    lams = predictive(0, n)
+    lam = lams["counting"]
     atoms = tuple(range(n + 1))
     test_sets = [{"atoms": ()}, {"atoms": atoms},
                  {"atoms": atoms[: max(1, n // 2)]}, {"atoms": atoms[-2:]}]
-    inv_ok = bayes.predictive_invariance(
-        family, prior, [("counting", measures["counting"]), ("counting-x2", measures["counting-x2"])],
-        test_sets, tol=1e-8)
-    lam = bayes.predictive_measure(family, "counting", prior, measures["counting"])
+    inv_ok = bayes.predictive_invariance([lam, lams["counting-x2"]], test_sets, tol=1e-8)
     total = lam.set_mass(atoms=atoms)
     report.add("predictive-invariance", inv_ok and abs(total - 1.0) <= 1e-6,
                total_mass=total)
 
     # dominance reports: full-support binomial vs a point-mass counterexample
-    rep = bayes.dominance_check(family, "counting", prior, measures["counting"])
+    rep = bayes.dominance_check(lam)
     report.add("binomial-dominated", rep.dominated and rep.support_constant,
                zero_set=list(rep.zero_set))
     delta_family, delta_measures = _delta_family()
-    rep2 = bayes.dominance_check(delta_family, "counting", bayes.Prior.point_mass(0.0),
-                                 delta_measures["counting"])
+    rep2 = bayes.dominance_check(bayes.predictive_measure(
+        delta_family, "counting", bayes.Prior.point_mass(0.0), delta_measures["counting"]))
     report.add("point-mass-counterexample", (not rep2.dominated) and rep2.zero_set == (1,),
                zero_set=list(rep2.zero_set), hits=list(rep2.zero_set_hit))
 
     x_emit = n // 2
-    c1 = likelihood_curve(family, "counting", x_emit)
-    c2 = likelihood_curve(family, "counting-x2", x_emit)
+    c1 = likelihood_curve(lam.family, "counting", x_emit)
+    c2 = likelihood_curve(lam.family, "counting-x2", x_emit)
     return report, (c1, c2)
 
 

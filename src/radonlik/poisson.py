@@ -107,15 +107,17 @@ class IntensityModel:
         return float(math.prod(hi - lo for lo, hi in self.region))
 
 
-def simulate_thinning(model: IntensityModel, theta, bound: float, seed) -> PointPattern:
-    """Thinning sampler (Lewis and Shedler 1979): uniform proposals at rate
-    `bound`, kept w.p. rate/bound.
+# proposal rows per intensity call in `thinning_counts`; the counts do not depend on it
+_THIN_BLOCK_ROWS = 1 << 16
+
+
+def _thin(model: IntensityModel, theta, bound: float, rng: np.random.Generator,
+          n_prop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `n_prop` proposals at rate `bound` and thin them: (locations, keep mask).
 
     Each proposal's row of `d + 1` uniforms holds its location and then its
     acceptance draw, the order in which a per-proposal loop would draw them.
     """
-    rng = np.random.default_rng(seed)
-    n_prop = rng.poisson(bound * model.volume)
     d = len(model.region)
     raw = rng.random((n_prop, d + 1))
     lo, hi = np.array(model.region).T
@@ -126,7 +128,38 @@ def simulate_thinning(model: IntensityModel, theta, bound: float, seed) -> Point
         i = int(np.argmax(over))
         raise ValueError(f"thinning bound {bound} below intensity {float(lam[i])} "
                          f"at {tuple(pts[i].tolist())}")
-    return PointPattern(region=model.region, locations=pts[raw[:, d] < lam / bound])
+    return pts, raw[:, d] < lam / bound
+
+
+def simulate_thinning(model: IntensityModel, theta, bound: float, seed) -> PointPattern:
+    """Thinning sampler (Lewis and Shedler 1979): uniform proposals at rate
+    `bound`, kept w.p. rate/bound."""
+    rng = np.random.default_rng(seed)
+    n_prop = rng.poisson(bound * model.volume)
+    pts, keep = _thin(model, theta, bound, rng, n_prop)
+    return PointPattern(region=model.region, locations=pts[keep])
+
+
+def thinning_counts(model: IntensityModel, theta, bound: float, seed,
+                    replicates: int) -> np.ndarray:
+    """Kept-point counts of `replicates` independent thinned patterns.
+
+    One generator draws every proposal count first, then the proposal rows in
+    replicate order, `_THIN_BLOCK_ROWS` rows per intensity call. Uniforms drawn
+    in pieces are the bits of one draw, so the counts do not depend on the
+    block size. With one replicate the count is `simulate_thinning(...).count`.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = rng.poisson(bound * model.volume, size=replicates)
+    ends, total = np.cumsum(sizes), int(sizes.sum())
+    counts = np.zeros(replicates, dtype=np.int64)
+    for start in range(0, total, _THIN_BLOCK_ROWS):
+        stop = min(start + _THIN_BLOCK_ROWS, total)
+        _, keep = _thin(model, theta, bound, rng, stop - start)
+        # each kept row's replicate: the first whose end lies past the row
+        owner = np.searchsorted(ends, np.arange(start, stop)[keep], side="right")
+        counts += np.bincount(owner, minlength=replicates)
+    return counts
 
 
 def _sum_log_intensity(model: IntensityModel, theta, pattern: PointPattern,

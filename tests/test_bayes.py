@@ -10,7 +10,9 @@ from scipy.special import betaln, roots_jacobi
 from scipy.stats import beta as beta_dist
 
 from radonlik import ModelFamily, SampleSpace, finite_family
-from radonlik.bayes import (DominatingMeasure, LikelihoodVanishesError, Prior,
+from radonlik.harness.config import load_config
+from radonlik.harness.experiments import run_bayes
+from radonlik.bayes import (GRID_PRIOR_NODES, DominatingMeasure, LikelihoodVanishesError, Prior,
                             binomial_family, dominance_check, marginal_density,
                             posterior, predictive_invariance, predictive_measure)
 
@@ -199,10 +201,9 @@ class TestPredictiveMeasure:
         family, measures = binomial_family(4, (0.5,))
         prior = Prior.uniform_grid()
         sets = [{"atoms": ()}, {"atoms": (0, 1)}, {"atoms": tuple(range(5))}]
-        assert predictive_invariance(family, prior,
-                                     [("counting", measures["counting"]),
-                                      ("counting-x2", measures["counting-x2"])],
-                                     sets, tol=1e-8)
+        lambdas = [predictive_measure(family, mid, prior, measures[mid])
+                   for mid in ("counting", "counting-x2")]
+        assert predictive_invariance(lambdas, sets, tol=1e-8)
 
     def test_empty_set_mass_zero_and_total_one(self):
         family, measures = binomial_family(4, (0.5,))
@@ -228,6 +229,29 @@ class TestPredictiveMeasure:
         assert lam.set_mass(atoms=(0, 1, 2)) == first
         assert sorted(seen) == [0, 1, 2, 3, 4]
 
+    def test_one_kernel_pass_per_marginal_in_run_bayes(self, monkeypatch):
+        """Each (n, x) marginal on the grid prior's nodes is computed once: the
+        n_max loop, the invariance check, the total mass and the dominance
+        check share one memoized predictive measure per base."""
+        calls = []
+        original = ModelFamily.log_kernel
+
+        def counting(family, measure_id, thetas, x):
+            if len(thetas) == GRID_PRIOR_NODES:
+                calls.append(measure_id)
+            return original(family, measure_id, thetas, x)
+
+        monkeypatch.setattr(ModelFamily, "log_kernel", counting)
+        config = load_config()
+        config["bayes"]["priors"] = ["uniform-grid"]
+        run_bayes(config)
+        n_max = config["bayes"]["n_max"]
+        # per n: n + 1 marginals and one pass per posterior at x = n // 2; at
+        # n_max the invariance check adds the counting-x2 marginals
+        assert calls.count("counting") == sum(n + 2 for n in range(1, n_max + 1))
+        assert calls.count("counting-x2") == n_max + (n_max + 1)
+        assert len(calls) == sum(n + 3 for n in range(1, n_max + 1)) + n_max + 1
+
     def test_continuous_base_interval_mass(self):
         fam = ModelFamily((0.5,), SampleSpace(region=(0.0, 1.0)))
         fam.register_kernel("lebesgue", lambda ths, y: np.zeros(len(ths)))
@@ -239,14 +263,14 @@ class TestPredictiveMeasure:
 class TestDominance:
     def test_binomial_full_support(self):
         family, measures = binomial_family(2, tuple(np.linspace(0.1, 0.9, 5)))
-        rep = dominance_check(family, "counting", Prior.uniform_grid(),
-                              measures["counting"])
+        rep = dominance_check(predictive_measure(family, "counting", Prior.uniform_grid(),
+                                                 measures["counting"]))
         assert rep.support_constant and rep.dominated and rep.zero_set == ()
 
     def test_point_mass_family_counterexample(self):
         fam = finite_family((0, 1), [(1.0, 0.0), (0.0, 1.0)], (0.0, 1.0))
         base = DominatingMeasure.counting("counting", (0, 1))
-        rep = dominance_check(fam, "counting", Prior.point_mass(0.0), base)
+        rep = dominance_check(predictive_measure(fam, "counting", Prior.point_mass(0.0), base))
         assert rep.zero_set == (1,)
         assert not rep.dominated
         assert rep.zero_set_hit == (False, True)
@@ -254,8 +278,8 @@ class TestDominance:
 
     def test_boundary_theta_breaks_support_constancy_not_dominance(self):
         family, measures = binomial_family(2, (0.3, 0.7, 1.0))
-        rep = dominance_check(family, "counting", Prior.uniform_grid(),
-                              measures["counting"])
+        rep = dominance_check(predictive_measure(family, "counting", Prior.uniform_grid(),
+                                                 measures["counting"]))
         assert not rep.support_constant
         assert rep.dominated
 
@@ -279,6 +303,6 @@ def test_support_constancy_implies_dominance(seed, n_atoms, n_members):
     base = DominatingMeasure.counting("counting", atoms)
     weights = rng.uniform(0.2, 1.0, size=n_members)
     prior = Prior.from_grid(np.asarray(thetas), weights)
-    rep = dominance_check(fam, "counting", prior, base)
+    rep = dominance_check(predictive_measure(fam, "counting", prior, base))
     assert rep.support_constant
     assert rep.dominated

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from radonlik import likelihood_curve
-from radonlik.harness.config import load_config
-from radonlik.harness.experiments import run_poisson
+from radonlik import likelihood_curve, poisson
+from radonlik.harness.config import grid_from_spec, load_config
+from radonlik.harness.experiments import _poisson_count_gof, run_poisson
 from radonlik.poisson import (MEASURE_PRODUCT, MEASURE_UNIT_POISSON, IntensityModel,
                               PointPattern, constant_intensity, location_density_mass,
                               loglik_jacod, loglik_product_measure, loglinear_intensity,
                               mle_intensity, pattern_model_family, simulate_thinning,
-                              sinusoidal_intensity)
+                              sinusoidal_intensity, thinning_counts)
 
 
 @pytest.fixture
@@ -338,6 +338,143 @@ class TestArrayKernelBits:
         likelihood_curve(family, MEASURE_PRODUCT, pattern)
         likelihood_curve(family, MEASURE_UNIT_POISSON, pattern)
         assert calls == [pattern.count] * (2 * len(model.theta_grid))
+
+
+def _reference_counts(model, theta, bound, seed, replicates):
+    """Per-replicate reference for `thinning_counts`: the same draws (all counts,
+    then all rows), sliced replicate by replicate and thinned row by row."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.poisson(bound * model.volume, size=replicates)
+    d = len(model.region)
+    raw = rng.random((int(sizes.sum()), d + 1))
+    lo, hi = np.array(model.region).T
+    counts, start = [], 0
+    for size in sizes:
+        kept = 0
+        for row in raw[start:start + size]:
+            kept += bool(row[d] < model.intensity(theta, lo + (hi - lo) * row[:d])[0] / bound)
+        counts.append(kept)
+        start += size
+    return np.array(counts)
+
+
+class _SwappedColumns:
+    """A generator whose proposal rows come with location and acceptance swapped."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        return self.rng.random(shape)[:, ::-1]
+
+
+class _ShiftedOwners:
+    """numpy, except that `searchsorted` hands each row to the previous replicate."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def searchsorted(a, v, side="left"):
+        return np.maximum(np.searchsorted(a, v, side=side) - 1, 0)
+
+
+class TestThinningCounts:
+    """Batched thinning for the count GOF: one generator for every replicate."""
+
+    SINUSOIDAL = (sinusoidal_intensity((3.0,)), 3.0)       # Lambda = 3 on [0, 1]
+    CALIBRATION_SEEDS = [[4242, k] for k in range(400)]
+    CALIBRATION_REPLICATES = 2000
+
+    @pytest.mark.parametrize("name", sorted(TestArrayKernelBits.MODELS))
+    def test_one_replicate_is_one_simulated_pattern(self, name):
+        model, theta = TestArrayKernelBits.MODELS[name]
+        bound = model.max_rate(theta)
+        for seed in range(40):
+            counts = thinning_counts(model, theta, bound, seed, 1)
+            assert counts.tolist() == [simulate_thinning(model, theta, bound, seed).count]
+
+    def test_matches_per_replicate_reference(self):
+        model, theta = self.SINUSOIDAL
+        bound = model.max_rate(theta)
+        for seed in (0, 1, 2):
+            want = _reference_counts(model, theta, bound, seed, 300)
+            assert np.array_equal(thinning_counts(model, theta, bound, seed, 300), want)
+
+    def test_counts_do_not_depend_on_block_size(self, monkeypatch):
+        model, theta = TestArrayKernelBits.MODELS["sinusoidal"]
+        bound = model.max_rate(theta)
+        want = thinning_counts(model, theta, bound, 11, 500)
+        for rows in (1, 7):
+            monkeypatch.setattr(poisson, "_THIN_BLOCK_ROWS", rows)
+            assert np.array_equal(thinning_counts(model, theta, bound, 11, 500), want)
+
+    def test_no_replicates(self):
+        model, theta = self.SINUSOIDAL
+        assert thinning_counts(model, theta, model.max_rate(theta), 5, 0).tolist() == []
+
+    def test_bound_violation_raises_same_error(self):
+        model = constant_intensity((2.0,))
+        seed = next(k for k in range(50) if np.random.default_rng(k).poisson(1.0) > 0)
+        with pytest.raises(ValueError) as single:
+            simulate_thinning(model, 2.0, 1.0, seed)
+        with pytest.raises(ValueError) as batched:
+            thinning_counts(model, 2.0, 1.0, seed, 1)
+        assert str(batched.value) == str(single.value)
+        assert str(single.value).startswith("thinning bound 1.0 below intensity 2.0 at (")
+
+    def _calibrated(self):
+        """Counts over fixed seeds: mean and variance within 4 SE of Lambda, and
+        the share of GOF p-values below 0.05 within 4 SE of 0.05."""
+        model, theta = self.SINUSOIDAL
+        bound, rate = model.max_rate(theta), model.total(theta)
+        batches = [thinning_counts(model, theta, bound, seed, self.CALIBRATION_REPLICATES)
+                   for seed in self.CALIBRATION_SEEDS]
+        counts = np.concatenate(batches)
+        n = len(counts)
+        low_share = np.mean([_poisson_count_gof(c, rate) < 0.05 for c in batches])
+        k = len(batches)
+        return (abs(counts.mean() - rate) <= 4.0 * math.sqrt(rate / n)
+                and abs(counts.var() - rate) <= 4.0 * math.sqrt((rate + 2.0 * rate ** 2) / n)
+                and abs(low_share - 0.05) <= 4.0 * math.sqrt(0.05 * 0.95 / k))
+
+    def test_calibrated_over_seeds(self):
+        assert self._calibrated()
+
+    @pytest.mark.parametrize("defect", ["swap-columns", "shift-owner"])
+    def test_defects_fail_reference_or_calibration(self, monkeypatch, defect):
+        def passes():
+            try:
+                self.test_matches_per_replicate_reference()
+            except AssertionError:
+                return False
+            return self._calibrated()
+
+        assert passes()
+        if defect == "swap-columns":
+            original = poisson._thin
+            monkeypatch.setattr(poisson, "_thin", lambda model, theta, bound, rng, n:
+                                original(model, theta, bound, _SwappedColumns(rng), n))
+        else:
+            monkeypatch.setattr(poisson, "np", _ShiftedOwners())
+        assert not passes()
+
+    def test_count_gof_makes_one_intensity_call_per_block(self, monkeypatch):
+        config = load_config()
+        gof = (config["poisson"]["intensity"], grid_from_spec(config["poisson"]["grid"]))
+        sizes = []
+        original = IntensityModel.intensity
+
+        def counting(model, theta, points):
+            if (model.name, model.theta_grid) == gof:     # only the GOF's model
+                sizes.append(len(np.atleast_2d(points)))
+            return original(model, theta, points)
+
+        monkeypatch.setattr(IntensityModel, "intensity", counting)
+        run_poisson(config)
+        proposals = sum(sizes)
+        assert proposals > config["poisson"]["replicates"]
+        assert len(sizes) <= math.ceil(proposals / poisson._THIN_BLOCK_ROWS)
 
 
 class TestNegativeControls:
