@@ -9,10 +9,9 @@ families, Poisson processes, and discretely observed diffusions.
 from .likelihood import (LogLikelihoodCurve, ModelFamily, ProportionalityReport,
                          SampleSpace, argmax_indices, argmax_invariance,
                          check_proportionality, eval_log_density, finite_family,
-                         likelihood_curve, neighborhood_density_limit, total_mass)
-from .measures import (DominatingMeasure, MixtureMeasure, SupportDescriptor,
-                       atomwise_abs_continuous, build_minimal_dominating_measure,
-                       support_of, verify_dominance)
+                         likelihood_curve, neighborhood_density_limit)
+from .measures import (DominatingMeasure, MixtureMeasure, atomwise_abs_continuous,
+                       build_minimal_dominating_measure, verify_dominance)
 
 __version__ = "0.1.0"
 
@@ -23,7 +22,6 @@ __all__ = [
     "ModelFamily",
     "ProportionalityReport",
     "SampleSpace",
-    "SupportDescriptor",
     "argmax_indices",
     "argmax_invariance",
     "atomwise_abs_continuous",
@@ -33,7 +31,5 @@ __all__ = [
     "finite_family",
     "likelihood_curve",
     "neighborhood_density_limit",
-    "support_of",
-    "total_mass",
     "verify_dominance",
 ]

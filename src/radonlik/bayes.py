@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 from scipy.stats import beta as beta_dist
 
@@ -112,10 +111,6 @@ class Prior:
                              "is not finite at the nodes")
         return value
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
 
 def _trapezoid_coefficients(grid: np.ndarray) -> np.ndarray:
     """Trapezoid-rule weights on `grid`: half of each adjacent step."""
@@ -179,18 +174,10 @@ class PredictiveMeasure:
     base: DominatingMeasure
     marginal: Callable            # m: x -> [0, inf)
 
-    def set_mass(self, atoms: Sequence = (), interval: tuple[float, float] | None = None) -> float:
+    def set_mass(self, atoms: Sequence) -> float:
         mass = 0.0
         for atom in atoms:
             mass += self.marginal(atom) * self.base.atom_mass(atom)
-        if interval is not None:
-            if self.base.region is None:
-                raise ValueError("base measure has no continuous part")
-            lo = max(interval[0], self.base.region[0])
-            hi = min(interval[1], self.base.region[1])
-            if hi > lo:
-                value, _ = quad(self.marginal, lo, hi, epsabs=1e-11, limit=200)
-                mass += self.base.lebesgue_scale * value
         return mass
 
     def zero_set(self, points: Sequence) -> tuple:
@@ -204,13 +191,12 @@ def predictive_measure(family: ModelFamily, measure_id: str, prior: Prior,
     return PredictiveMeasure(family=family, measure_id=measure_id, base=base, marginal=marginal)
 
 
-def predictive_invariance(lambdas: Sequence[PredictiveMeasure], test_sets: Sequence[dict],
+def predictive_invariance(lambdas: Sequence[PredictiveMeasure], atom_sets: Sequence[Sequence],
                           tol: float = 1e-8) -> bool:
     """Set masses of the predictive measure agree across base choices: one
     `PredictiveMeasure` per base, so the caller's memos are shared."""
-    for spec in test_sets:
-        masses = [lam.set_mass(atoms=spec.get("atoms", ()), interval=spec.get("interval"))
-                  for lam in lambdas]
+    for atoms in atom_sets:
+        masses = [lam.set_mass(atoms) for lam in lambdas]
         if max(masses) - min(masses) > tol:
             return False
     return True

@@ -85,14 +85,6 @@ def observations_from_csv(path) -> ObservationSet:
     return ObservationSet(times=tuple(times), values=tuple(values))
 
 
-def observations_to_csv(obs: ObservationSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y"])
-        for t, y in zip(obs.times, obs.values):
-            writer.writerow([repr(t), repr(y)])
-
-
 def transform_observations(spec: "SDESpec", obs: "ObservationSet", theta) -> tuple:
     """Observation values pushed through the space transform at one theta.
 
@@ -156,17 +148,6 @@ def lamperti_derivative(spec: SDESpec, y_val: float, theta) -> float:
 
 
 # -- bridges -------------------------------------------------------------------
-
-def sample_brownian_bridge(length: float, step: float, seed) -> np.ndarray:
-    """Standard Brownian bridge on a uniform grid; endpoints exactly 0."""
-    if length <= 0 or step <= 0:
-        raise ValueError("length and step must be positive")
-    m = round(length / step)
-    if m < 1 or abs(m * step - length) > 1e-12 * max(1.0, length):
-        raise ValueError(f"step {step} does not divide interval length {length}")
-    rng = np.random.default_rng(seed)
-    return _bridge_rows(rng, 1, m, length / m)[0]
-
 
 def _bridge_rows(rng, rows: int, m: int, dt: float) -> np.ndarray:
     """(rows, m + 1) standard bridges: Brownian paths pinned back to zero."""

@@ -62,11 +62,6 @@ class ExponentialFamily:
                 cache[theta] = compute_log_partition(self, theta)
         return cache[theta]
 
-    def warm_up(self) -> None:
-        """Sequentially fill the log-partition cache over the grid."""
-        for theta in self.theta_grid:
-            self.log_partition(theta)
-
 
 def log_densities(fam: ExponentialFamily, thetas: Sequence, omega) -> np.ndarray:
     """eta(theta) . T(omega) - logpart(theta) + log h(omega) for each theta.
@@ -130,6 +125,18 @@ def compute_log_partition(fam: ExponentialFamily, theta) -> float:
     raise ValueError(f"normalizer not computable against base kind {base.kind!r}")
 
 
+def _with_carrier(fam: ExponentialFamily, name: str, carrier: Callable,
+                  base: DominatingMeasure) -> ExponentialFamily:
+    """`fam` with a new carrier against a new base. The normalizer is a property
+    of the model, not of the base: the copy shares `fam`'s cache and, without
+    a closed form, takes `fam.log_partition` as its own."""
+    changed = replace(fam, name=name, carrier=carrier, log_carrier_fn=None, base=base)
+    object.__setattr__(changed, "_logpart_cache", fam._logpart_cache)
+    if fam.closed_form_logpart is None:
+        object.__setattr__(changed, "closed_form_logpart", fam.log_partition)
+    return changed
+
+
 def tilt_to_lambda(fam: ExponentialFamily) -> ExponentialFamily:
     """Re-express the family against the measure with density h: the carrier
     drops out of the kernel. Registered under measure id 'lambda-tilt'."""
@@ -140,13 +147,7 @@ def tilt_to_lambda(fam: ExponentialFamily) -> ExponentialFamily:
         tilted_base = DominatingMeasure(id="lambda-tilt", kind=fam.base.kind,
                                         region=fam.base.region,
                                         lebesgue_scale=fam.base.lebesgue_scale)
-    tilted = replace(fam, name=f"{fam.name}-lambda-tilt", carrier=lambda omega: 1.0,
-                     log_carrier_fn=None, base=tilted_base)
-    # The normalizer is a property of the model, not of the base: share it.
-    object.__setattr__(tilted, "_logpart_cache", fam._logpart_cache)
-    if fam.closed_form_logpart is None:
-        object.__setattr__(tilted, "closed_form_logpart", fam.log_partition)
-    return tilted
+    return _with_carrier(fam, f"{fam.name}-lambda-tilt", lambda omega: 1.0, tilted_base)
 
 
 def change_dominating_measure(fam: ExponentialFamily, new_base: DominatingMeasure,
@@ -170,23 +171,7 @@ def change_dominating_measure(fam: ExponentialFamily, new_base: DominatingMeasur
                 "mixture density against the old base vanishes at a point of positive new-base mass")
         return h * s / q
 
-    changed = replace(fam, name=f"{fam.name}@{new_base.id}", carrier=new_carrier,
-                      log_carrier_fn=None, base=new_base)
-    object.__setattr__(changed, "_logpart_cache", fam._logpart_cache)
-    if fam.closed_form_logpart is None:
-        object.__setattr__(changed, "closed_form_logpart", fam.log_partition)
-    return changed
-
-
-def factorization_ratio_test(fam: ExponentialFamily, omega1, omega2, tol: float = 1e-10) -> bool:
-    """With T(omega1) = T(omega2), the log-density difference is theta-free."""
-    t1 = np.atleast_1d(np.asarray(fam.sufficient_stat(omega1), dtype=float))
-    t2 = np.atleast_1d(np.asarray(fam.sufficient_stat(omega2), dtype=float))
-    if not np.array_equal(t1, t2):
-        raise ValueError("sufficient statistics differ; ratio test requires T(omega1) == T(omega2)")
-    diffs = (log_densities(fam, fam.theta_grid, omega1)
-             - log_densities(fam, fam.theta_grid, omega2)).tolist()
-    return max(diffs) - min(diffs) <= tol
+    return _with_carrier(fam, f"{fam.name}@{new_base.id}", new_carrier, new_base)
 
 
 def iid_family(fam: ExponentialFamily, n: int) -> ExponentialFamily:

@@ -18,8 +18,8 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import chisquare, poisson as poisson_dist
 
 from .. import bayes, diffusion, expfam, mixture, poisson
-from ..likelihood import (NEG_INF, LogLikelihoodCurve, ModelFamily, argmax_invariance,
-                          check_proportionality, likelihood_curve)
+from ..likelihood import (NEG_INF, LogLikelihoodCurve, ModelFamily, argmax_indices,
+                          argmax_invariance, check_proportionality, likelihood_curve)
 from .config import ConfigError, grid_from_spec, prior_beta_params
 from .mcem import mcem_missing_data
 from .reporting import Report, emit_curves, write_report_json
@@ -196,21 +196,18 @@ def run_mixture(config: dict) -> tuple[Report, Curves]:
     rng = _rng(seed, _STREAM["mixture"])
     sample = mixture.simulate(mixture.atom_weight_mixture(atom, comp, p_true),
                               cfg["n_samples"], _child_seed(rng))
-    mixes = [mixture.atom_weight_mixture(atom, comp, p) for p in grid]
-
-    correct_idx = mixture.grid_mle(mixes, grid, sample, "correct")
-    best_correct = grid[min(correct_idx)]
-    report.add("correct-mle-near-truth", abs(best_correct - p_true) <= 0.05,
-               mle=best_correct, p_true=p_true)
-
-    naive_idx = mixture.grid_mle(mixes, grid, sample, "naive")
-    best_naive = grid[min(naive_idx)]
-    report.add("naive-mle-reported", True, mle=best_naive,
-               bias=best_naive - p_true)
-
     family = mixture.atom_weight_family(atom, comp, grid)
     c_correct = likelihood_curve(family, "counting-lebesgue", sample)
     c_naive = likelihood_curve(family, "counting-lebesgue-naive", sample)
+
+    best_correct = grid[min(argmax_indices(c_correct))]
+    report.add("correct-mle-near-truth", abs(best_correct - p_true) <= 0.05,
+               mle=best_correct, p_true=p_true)
+
+    best_naive = grid[min(argmax_indices(c_naive))]
+    report.add("naive-mle-reported", True, mle=best_naive,
+               bias=best_naive - p_true)
+
     mis = check_proportionality(c_correct, c_naive, tol)
     report.add("naive-kernel-not-proportional", not mis.passed,
                max_deviation=mis.max_deviation)
@@ -529,10 +526,9 @@ def run_bayes(config: dict) -> tuple[Report, Curves]:
     lams = predictive(0, n)
     lam = lams["counting"]
     atoms = tuple(range(n + 1))
-    test_sets = [{"atoms": ()}, {"atoms": atoms},
-                 {"atoms": atoms[: max(1, n // 2)]}, {"atoms": atoms[-2:]}]
-    inv_ok = bayes.predictive_invariance([lam, lams["counting-x2"]], test_sets, tol=1e-8)
-    total = lam.set_mass(atoms=atoms)
+    atom_sets = [(), atoms, atoms[: max(1, n // 2)], atoms[-2:]]
+    inv_ok = bayes.predictive_invariance([lam, lams["counting-x2"]], atom_sets, tol=1e-8)
+    total = lam.set_mass(atoms)
     report.add("predictive-invariance", inv_ok and abs(total - 1.0) <= 1e-6,
                total_mass=total)
 

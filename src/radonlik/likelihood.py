@@ -102,10 +102,6 @@ class LogLikelihoodCurve:
                 raise ValueError(f"log-likelihood {v} at theta {theta!r} under "
                                  f"{self.measure_id!r}: only finite values and -inf are allowed")
 
-    def shifted(self, constant: float) -> "LogLikelihoodCurve":
-        vals = tuple(v + constant if v != NEG_INF else NEG_INF for v in self.values)
-        return LogLikelihoodCurve(self.measure_id, self.observation_id, self.thetas, vals)
-
 
 @dataclass(frozen=True)
 class ProportionalityReport:
@@ -227,24 +223,6 @@ def neighborhood_density_limit(family: ModelFamily, measure: DominatingMeasure, 
     return ratios
 
 
-def total_mass(family: ModelFamily, measure: DominatingMeasure, theta) -> float:
-    """Integral of the registered kernel against the measure; should be 1."""
-    mass = 0.0
-    for atom, weight in zip(measure.atoms, measure.atom_weights):
-        mass += math.exp(eval_log_density(family, measure.id, theta, atom)) * weight
-    if measure.region is not None:
-        lo, hi = measure.region
-        atoms_inside = [a for a in measure.atoms if lo < a < hi]
-
-        def integrand(y):
-            return math.exp(eval_log_density(family, measure.id, theta, y))
-
-        value, _ = quad(integrand, lo, hi, points=atoms_inside or None,
-                        epsabs=1e-10, limit=200)
-        mass += measure.lebesgue_scale * value
-    return mass
-
-
 def finite_family(atoms: Sequence, mass_rows: Sequence[Sequence[float]], theta_grid: Sequence,
                   measure_id: str = "counting") -> ModelFamily:
     """Finite discrete family from a (grid x atoms) probability mass table."""
@@ -254,8 +232,8 @@ def finite_family(atoms: Sequence, mass_rows: Sequence[Sequence[float]], theta_g
         row = tuple(row)
         if len(row) != len(atoms):
             raise ValueError("each mass row must cover every atom")
-        if any(p < 0 for p in row):
-            raise ValueError("masses must be nonnegative")
+        if not all(math.isfinite(p) and p >= 0 for p in row):
+            raise ValueError("masses must be finite and nonnegative")
         total = sum(row)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses for theta {theta!r} sum to {total}, not 1")

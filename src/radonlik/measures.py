@@ -1,4 +1,4 @@
-"""Named dominating measures, supports, and minimal dominating mixtures.
+"""Named dominating measures and minimal dominating mixtures.
 
 A dominating measure on the real line is counting measure on atoms, scaled
 Lebesgue measure on a region, or their sum. Each carries enough payload to
@@ -12,26 +12,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import singledispatch
 from typing import Sequence
 
 MEASURE_KINDS = ("counting", "lebesgue", "counting_lebesgue_sum")
-
-
-@dataclass(frozen=True)
-class SupportDescriptor:
-    """Support of a measure: positive-mass atoms plus a continuous region."""
-
-    atoms: frozenset = frozenset()
-    region: tuple[float, float] | None = None
-
-    def __contains__(self, point) -> bool:
-        if point in self.atoms:
-            return True
-        if self.region is not None:
-            lo, hi = self.region
-            return lo <= point <= hi
-        return False
 
 
 @dataclass(frozen=True)
@@ -57,14 +40,14 @@ class DominatingMeasure:
             object.__setattr__(self, "atom_weights", (1.0,) * len(self.atoms))
         if self.atom_weights and len(self.atom_weights) != len(self.atoms):
             raise ValueError("atom_weights length must match atoms")
-        if any(w < 0 for w in self.atom_weights):
-            raise ValueError("atom weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.atom_weights):
+            raise ValueError("atom weights must be finite and nonnegative")
         if self.region is not None:
             lo, hi = self.region
             if not hi > lo:
                 raise ValueError("region must have strictly positive volume")
-        if self.lebesgue_scale <= 0:
-            raise ValueError("lebesgue_scale must be positive")
+        if not (math.isfinite(self.lebesgue_scale) and self.lebesgue_scale > 0):
+            raise ValueError("lebesgue_scale must be finite and positive")
 
     # -- constructors ------------------------------------------------------
 
@@ -85,11 +68,6 @@ class DominatingMeasure:
                    region=region, lebesgue_scale=scale)
 
     # -- evaluation --------------------------------------------------------
-
-    @property
-    def support(self) -> SupportDescriptor:
-        pos = frozenset(a for a, w in zip(self.atoms, self.atom_weights) if w > 0)
-        return SupportDescriptor(atoms=pos, region=self.region)
 
     def atom_mass(self, atom) -> float:
         """Mass this measure puts on a single point (0 off the atom list)."""
@@ -138,10 +116,6 @@ class MixtureMeasure:
     def atom_mass(self, atom) -> float:
         return self.atom_masses.get(atom, 0.0)
 
-    @property
-    def support(self) -> SupportDescriptor:
-        return SupportDescriptor(atoms=frozenset(a for a, m in self.atom_masses.items() if m > 0))
-
 
 def build_minimal_dominating_measure(family, selected_thetas, measure_id: str = "counting") -> MixtureMeasure:
     """Uniform-weight mixture of the selected family members.
@@ -187,24 +161,3 @@ def atomwise_abs_continuous(numerator_masses: Mapping, reference_masses: Mapping
         if reference_masses.get(atom, 0.0) == 0.0 and numerator_masses.get(atom, 0.0) > 0.0:
             return False
     return True
-
-
-@singledispatch
-def support_of(measure) -> SupportDescriptor:
-    """Positive-mass atoms plus the declared continuous region of a measure."""
-    raise TypeError(f"support_of does not handle {type(measure).__name__}")
-
-
-@support_of.register
-def _(measure: DominatingMeasure) -> SupportDescriptor:
-    return measure.support
-
-
-@support_of.register
-def _(measure: MixtureMeasure) -> SupportDescriptor:
-    return measure.support
-
-
-@support_of.register
-def _(measure: Mapping) -> SupportDescriptor:
-    return SupportDescriptor(atoms=frozenset(a for a, m in measure.items() if m > 0))

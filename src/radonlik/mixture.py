@@ -34,14 +34,6 @@ class Component:
     def sample(self, rng, size):
         raise NotImplementedError
 
-    def in_region(self, y) -> bool:
-        lo, hi = self.region
-        return lo < y < hi
-
-    def in_closure(self, y) -> bool:
-        lo, hi = self.region
-        return lo <= y <= hi
-
 
 @dataclass(frozen=True)
 class Exponential(Component):
@@ -145,23 +137,6 @@ class PointMassMixture:
         mass = sum(p for a, p in self.atoms if lo <= a <= hi)
         mass += sum(q * float(c.cdf(hi) - c.cdf(lo)) for q, c in self.components)
         return mass
-
-
-def density_correct(mix: PointMassMixture, y: float) -> float:
-    """Density against counting + Lebesgue: atom mass at atoms, else the
-    continuous sum restricted away from the atom set."""
-    p = mix.atom_mass(y)
-    if p > 0.0:
-        return p
-    return sum(q * float(c.density(y)) for q, c in mix.components if c.in_region(y))
-
-
-def density_naive(mix: PointMassMixture, y: float) -> float:
-    """The same sum with the atom indicator dropped: continuous formulas are
-    evaluated at atoms inside their region closure. Intentionally invalid."""
-    value = mix.atom_mass(y)
-    value += sum(q * float(c.density(y)) for q, c in mix.components if c.in_closure(y))
-    return value
 
 
 def simulate(mix: PointMassMixture, n: int, seed) -> np.ndarray:

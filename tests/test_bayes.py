@@ -24,15 +24,15 @@ def beta_binomial_closed(n, x, a, b):
 class TestPrior:
     def test_grid_prior_has_unit_mass(self):
         prior = Prior.uniform_grid()
-        assert prior.total_mass == pytest.approx(1.0, abs=1e-10)
+        assert prior.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_beta_grid_prior_mass(self):
         prior = Prior.beta_grid(2.0, 3.0)
-        assert prior.total_mass == pytest.approx(1.0, abs=1e-10)
+        assert prior.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_beta_label_prior_mass(self):
         prior = Prior.beta(2.0, 3.0)
-        assert prior.total_mass == pytest.approx(1.0, abs=1e-10)
+        assert prior.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_point_prior_integrates_by_evaluation(self):
         prior = Prior.point_mass(0.25)
@@ -200,7 +200,7 @@ class TestPredictiveMeasure:
     def test_invariance_across_bases(self):
         family, measures = binomial_family(4, (0.5,))
         prior = Prior.uniform_grid()
-        sets = [{"atoms": ()}, {"atoms": (0, 1)}, {"atoms": tuple(range(5))}]
+        sets = [(), (0, 1), tuple(range(5))]
         lambdas = [predictive_measure(family, mid, prior, measures[mid])
                    for mid in ("counting", "counting-x2")]
         assert predictive_invariance(lambdas, sets, tol=1e-8)
@@ -209,8 +209,8 @@ class TestPredictiveMeasure:
         family, measures = binomial_family(4, (0.5,))
         lam = predictive_measure(family, "counting", Prior.uniform_grid(),
                                  measures["counting"])
-        assert lam.set_mass(atoms=()) == 0.0
-        assert lam.set_mass(atoms=tuple(range(5))) == pytest.approx(1.0, abs=1e-6)
+        assert lam.set_mass(()) == 0.0
+        assert lam.set_mass(tuple(range(5))) == pytest.approx(1.0, abs=1e-6)
 
     def test_marginal_computed_once_per_atom(self, monkeypatch):
         family, measures = binomial_family(4, (0.5,))
@@ -224,9 +224,9 @@ class TestPredictiveMeasure:
         monkeypatch.setattr("radonlik.bayes.marginal_density", counting)
         lam = predictive_measure(family, "counting", Prior.uniform_grid(nodes=1025),
                                  measures["counting"])
-        first = lam.set_mass(atoms=(0, 1, 2))
-        assert lam.set_mass(atoms=tuple(range(5))) == pytest.approx(1.0, abs=1e-6)
-        assert lam.set_mass(atoms=(0, 1, 2)) == first
+        first = lam.set_mass((0, 1, 2))
+        assert lam.set_mass(tuple(range(5))) == pytest.approx(1.0, abs=1e-6)
+        assert lam.set_mass((0, 1, 2)) == first
         assert sorted(seen) == [0, 1, 2, 3, 4]
 
     def test_one_kernel_pass_per_marginal_in_run_bayes(self, monkeypatch):
@@ -251,13 +251,6 @@ class TestPredictiveMeasure:
         assert calls.count("counting") == sum(n + 2 for n in range(1, n_max + 1))
         assert calls.count("counting-x2") == n_max + (n_max + 1)
         assert len(calls) == sum(n + 3 for n in range(1, n_max + 1)) + n_max + 1
-
-    def test_continuous_base_interval_mass(self):
-        fam = ModelFamily((0.5,), SampleSpace(region=(0.0, 1.0)))
-        fam.register_kernel("lebesgue", lambda ths, y: np.zeros(len(ths)))
-        base = DominatingMeasure.lebesgue("lebesgue", (0.0, 1.0))
-        lam = predictive_measure(fam, "lebesgue", Prior.point_mass(0.5), base)
-        assert lam.set_mass(interval=(0.2, 0.7)) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestDominance:

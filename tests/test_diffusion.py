@@ -18,10 +18,9 @@ from radonlik.diffusion import (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED, S
                                 _bridge_rows, _drift_corrections, brownian_drift_spec,
                                 diffusion_model_family, lamperti, lamperti_derivative,
                                 logistic_spec, mle_theta, obs_bridge_log_density,
-                                observations_from_csv, observations_to_csv,
-                                ou_exact_transition_density, ou_spec, sample_bridge_set,
-                                sample_brownian_bridge, simulate_ou,
-                                transform_observations, transition_density_mc)
+                                observations_from_csv, ou_exact_transition_density, ou_spec,
+                                sample_bridge_set, simulate_ou, transform_observations,
+                                transition_density_mc)
 from radonlik.harness import load_config
 from radonlik.harness.experiments import run_diffusion
 
@@ -169,21 +168,17 @@ class TestDriftIntegral:
 
 class TestBridgeSampling:
     def test_endpoints_exactly_zero(self):
-        values = sample_brownian_bridge(1.0, 0.125, seed=0)
-        assert values[0] == 0.0 and values[-1] == 0.0
+        values = _bridge_rows(np.random.default_rng(0), 3, 8, 0.125)
+        assert np.all(values[:, 0] == 0.0) and np.all(values[:, -1] == 0.0)
 
     def test_step_equal_to_length_leaves_endpoints_only(self):
-        values = sample_brownian_bridge(1.0, 1.0, seed=1)
-        assert np.array_equal(values, np.zeros(2))
-
-    def test_step_must_divide_length(self):
-        with pytest.raises(ValueError):
-            sample_brownian_bridge(1.0, 0.3, seed=0)
+        (segment,) = sample_bridge_set((0.0, 1.0), 1, seed=1).segments
+        assert np.array_equal(segment.values, np.zeros(2))
 
     def test_seed_reproducibility(self):
-        a = sample_brownian_bridge(2.0, 0.25, seed=11)
-        b = sample_brownian_bridge(2.0, 0.25, seed=11)
-        assert np.array_equal(a, b)
+        a = sample_bridge_set((0.0, 1.0, 2.0), 8, seed=11).segments
+        b = sample_bridge_set((0.0, 1.0, 2.0), 8, seed=11).segments
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
     def test_sequence_seeds_keep_every_entry(self):
         times = (0.0, 0.5, 1.25)
@@ -555,7 +550,7 @@ class TestBridgeMCBits:
         assert curve == [-7.63866671882546, -7.414498018807215, -7.396590278477803]
 
     def test_golden_bridges(self):
-        assert sample_brownian_bridge(1.0, 0.125, seed=0).tolist() == [
+        assert _bridge_rows(np.random.default_rng(0), 1, 8, 0.125)[0].tolist() == [
             0.0, -0.07999645062542717, -0.25115136954896616, -0.14917656666505114,
             -0.23653757116500063, -0.5503740908761233, -0.5469797297841523,
             -0.21039488908764858, 0.0]
@@ -710,7 +705,8 @@ class TestObservationIO:
     def test_csv_round_trip(self, tmp_path):
         obs = simulate_ou(1.0, 0.3, (0.0, 0.4, 1.1), seed=2)
         path = tmp_path / "obs.csv"
-        observations_to_csv(obs, path)
+        path.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n"
+                                           for t, y in zip(obs.times, obs.values)))
         back = observations_from_csv(path)
         assert back.times == obs.times and back.values == obs.values
 

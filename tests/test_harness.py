@@ -185,9 +185,11 @@ class TestRunExperiment:
                     == (tmp_path / "b" / "mixture" / name).read_bytes())
 
     def test_diffusion_reads_observation_csv(self, tmp_path):
-        from radonlik.diffusion import observations_to_csv, simulate_ou
+        from radonlik.diffusion import simulate_ou
+        obs = simulate_ou(1.0, 0.0, (0.0, 0.5, 1.0, 1.5), seed=3)
         obs_path = tmp_path / "obs.csv"
-        observations_to_csv(simulate_ou(1.0, 0.0, (0.0, 0.5, 1.0, 1.5), seed=3), obs_path)
+        obs_path.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n"
+                                               for t, y in zip(obs.times, obs.values)))
         cfg = load_config()
         cfg["diffusion"] = dict(cfg["diffusion"], observations=str(obs_path),
                                 mc_replicates=400)

@@ -11,9 +11,28 @@ from hypothesis import strategies as st
 from radonlik import argmax_invariance, check_proportionality, likelihood_curve, mixture
 from radonlik.harness.config import load_config
 from radonlik.harness.experiments import run_mixture
-from radonlik.mixture import (COMPONENT_CATALOG, PointMassMixture,
-                              atom_weight_family, atom_weight_mixture, density_correct,
-                              density_naive, grid_mle, mixture_total_mass, simulate)
+from radonlik.mixture import (COMPONENT_CATALOG, PointMassMixture, _log_density_curve,
+                              atom_weight_family, atom_weight_mixture, grid_mle,
+                              mixture_total_mass, simulate)
+
+
+def density_correct(mix, y):
+    """Scalar oracle of the density against counting + Lebesgue: atom mass at
+    atoms, else the continuous sum over components whose open region holds y."""
+    p = mix.atom_mass(y)
+    if p > 0.0:
+        return p
+    return sum(q * float(c.density(y)) for q, c in mix.components
+               if c.region[0] < y < c.region[1])
+
+
+def density_naive(mix, y):
+    """The same sum with the atom indicator dropped: continuous formulas are
+    evaluated at atoms inside their region closure. Intentionally invalid."""
+    value = mix.atom_mass(y)
+    value += sum(q * float(c.density(y)) for q, c in mix.components
+                 if c.region[0] <= y <= c.region[1])
+    return value
 
 
 @pytest.fixture
@@ -190,6 +209,28 @@ def _golden_case(name):
     samples = {"draws": draws, "edge": np.append(draws, comp.region[0]),
                "off-atom": draws[draws != atom]}
     return comp, atom, samples
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("name", sorted(COMPONENT_CATALOG))
+    @pytest.mark.parametrize("variant, oracle", [("correct", density_correct),
+                                                 ("naive", density_naive)])
+    def test_curve_is_sum_of_oracle_log_densities(self, name, variant, oracle):
+        comp, atom, samples = _golden_case(name)
+        edges = [e for e in comp.region if math.isfinite(e)]
+        outside = comp.region[0] - 1.0
+        cases = {**samples, "edges": np.append(samples["draws"], edges),
+                 "outside": np.append(samples["draws"], outside)}
+        mixes = [atom_weight_mixture(atom, comp, p) for p in GOLDEN_GRID]
+        for case, ys in cases.items():
+            curve = _log_density_curve(mixes, ys, variant)
+            for mix, got in zip(mixes, curve):
+                dens = [oracle(mix, float(y)) for y in ys]
+                if min(dens) == 0.0:
+                    assert got == -math.inf, (case, variant)
+                else:
+                    want = sum(math.log(d) for d in dens)
+                    assert got == pytest.approx(want, rel=1e-12), (case, variant)
 
 
 class TestArrayKernelBits:
