@@ -67,6 +67,34 @@ def _mixture_instance(rng: np.random.Generator, sample_size: int):
     return c1, c2
 
 
+def _expfam_variants(fam):
+    """(measure id, family) for the carrier tilt of `fam` and for `fam` against
+    three reweightings of its base."""
+    variants = [("lambda-tilt", expfam.tilt_to_lambda(fam))]
+    if fam.base.kind == "counting":
+        atoms = fam.base.atoms
+        for alt_name, weight_fn in (
+            ("geometric-weighted", lambda i: 0.5 ** (i + 1)),
+            ("doubled", lambda i: 2.0),
+            ("ramp-weighted", lambda i: 1.0 + i / len(atoms)),
+        ):
+            weights = tuple(weight_fn(i) for i in range(len(atoms)))
+            alt = expfam.DominatingMeasure.counting(alt_name, atoms, weights)
+            lookup = dict(zip(atoms, weights))
+            variants.append((alt_name, expfam.change_dominating_measure(
+                fam, alt,
+                mixture_density_new=lambda x, _l=lookup: 1.0 / _l[x],
+                mixture_density_old=lambda x: 1.0)))
+    else:
+        for alt_name, scale in (("lebesgue-x2", 2.0), ("lebesgue-half", 0.5),
+                                ("lebesgue-x3", 3.0)):
+            alt = expfam.DominatingMeasure.lebesgue(alt_name, fam.base.region, scale=scale)
+            variants.append((alt_name, expfam.change_dominating_measure(
+                fam, alt, mixture_density_new=lambda x, _s=scale: 1.0 / _s,
+                mixture_density_old=lambda x: 1.0)))
+    return variants
+
+
 def _expfam_instance(rng: np.random.Generator, sample_size: int):
     which = int(rng.integers(0, 3))
     count = int(rng.integers(7, 15))
@@ -80,25 +108,12 @@ def _expfam_instance(rng: np.random.Generator, sample_size: int):
         fam = expfam.gaussian_known_var_family(np.linspace(-2.0, 2.0, count))
         draws = rng.normal(float(rng.uniform(-1.0, 1.0)), 1.0, size=sample_size)
     sample = tuple(float(x) for x in draws)
-    scalar_variants = [("lambda-tilt", expfam.tilt_to_lambda(fam))]
-    if fam.base.kind == "counting":
-        weights = tuple(0.5 ** (i + 1) for i in range(len(fam.base.atoms)))
-        alt = expfam.DominatingMeasure.counting("geometric-weighted", fam.base.atoms, weights)
-        changed = expfam.change_dominating_measure(
-            fam, alt,
-            mixture_density_new=lambda x, _w=dict(zip(fam.base.atoms, weights)): 1.0 / _w[x],
-            mixture_density_old=lambda x: 1.0)
-    else:
-        alt = expfam.DominatingMeasure.lebesgue("lebesgue-x2", fam.base.region, scale=2.0)
-        changed = expfam.change_dominating_measure(
-            fam, alt, mixture_density_new=lambda x: 0.5, mixture_density_old=lambda x: 1.0)
-    scalar_variants.append(("alt-base", changed))
-    iid_base = expfam.iid_family(fam, sample_size)
-    iid_variants = [(mid, expfam.iid_family(v, sample_size)) for mid, v in scalar_variants]
-    model = expfam.as_model_family(iid_base, *iid_variants)
-    pair = ["lambda-tilt", "alt-base"][int(rng.integers(0, 2))]
+    ids = ("lambda-tilt", "alt-base")   # the tilt and the first reweighted base
+    iid_variants = [(mid, expfam.iid_family(v, sample_size))
+                    for mid, (_, v) in zip(ids, _expfam_variants(fam))]
+    model = expfam.as_model_family(expfam.iid_family(fam, sample_size), *iid_variants)
     c1 = likelihood_curve(model, "base", sample)
-    c2 = likelihood_curve(model, pair, sample)
+    c2 = likelihood_curve(model, ids[int(rng.integers(0, 2))], sample)
     return c1, c2
 
 
@@ -250,39 +265,20 @@ def run_expfam(config: dict) -> tuple[Report, Curves]:
             closed = [(th, th * th / 2.0) for th in (-1.0, 0.2, 1.5)]
         sample = tuple(float(x) for x in draws)
 
-        xi_err = max(abs(expfam.compute_log_partition(fam, th) - want) for th, want in closed)
+        # the computed normalizer and the family's method, each against the closed form
+        xi_err = max(abs(logpart(fam, th) - want) for th, want in closed
+                     for logpart in (expfam.compute_log_partition,
+                                     expfam.ExponentialFamily.log_partition))
         report.add(f"{name}-normalizer-closed-form", xi_err <= 1e-8, worst_error=xi_err)
 
-        tilted = expfam.tilt_to_lambda(fam)
+        variants = _expfam_variants(fam)
         omega = sample[0]
         gap = (expfam.log_density(fam, fam.theta_grid[3], omega)
-               - expfam.log_density(tilted, fam.theta_grid[3], omega))
+               - expfam.log_density(variants[0][1], fam.theta_grid[3], omega))
         report.add(f"{name}-tilt-ratio-is-carrier",
                    abs(gap - fam.log_carrier(omega)) <= 1e-10,
                    log_carrier=fam.log_carrier(omega), gap=gap)
 
-        variants = [("lambda-tilt", tilted)]
-        if fam.base.kind == "counting":
-            atoms = fam.base.atoms
-            for alt_name, weight_fn in (
-                ("geometric-weighted", lambda i: 0.5 ** (i + 1)),
-                ("doubled", lambda i: 2.0),
-                ("ramp-weighted", lambda i: 1.0 + i / len(atoms)),
-            ):
-                weights = tuple(weight_fn(i) for i in range(len(atoms)))
-                alt = expfam.DominatingMeasure.counting(alt_name, atoms, weights)
-                lookup = dict(zip(atoms, weights))
-                variants.append((alt_name, expfam.change_dominating_measure(
-                    fam, alt,
-                    mixture_density_new=lambda x, _l=lookup: 1.0 / _l[x],
-                    mixture_density_old=lambda x: 1.0)))
-        else:
-            for alt_name, scale in (("lebesgue-x2", 2.0), ("lebesgue-half", 0.5),
-                                    ("lebesgue-x3", 3.0)):
-                alt = expfam.DominatingMeasure.lebesgue(alt_name, fam.base.region, scale=scale)
-                variants.append((alt_name, expfam.change_dominating_measure(
-                    fam, alt, mixture_density_new=lambda x, _s=scale: 1.0 / _s,
-                    mixture_density_old=lambda x: 1.0)))
         iid_base = expfam.iid_family(fam, sample_size)
         iid_variants = [(mid, expfam.iid_family(v, sample_size)) for mid, v in variants]
         model = expfam.as_model_family(iid_base, *iid_variants)

@@ -227,6 +227,8 @@ def finite_family(atoms: Sequence, mass_rows: Sequence[Sequence[float]], theta_g
                   measure_id: str = "counting") -> ModelFamily:
     """Finite discrete family from a (grid x atoms) probability mass table."""
     atoms = tuple(atoms)
+    if len(mass_rows) != len(theta_grid):
+        raise ValueError(f"{len(mass_rows)} mass rows for {len(theta_grid)} grid values")
     log_table = {}
     for theta, row in zip(theta_grid, mass_rows):
         row = tuple(row)

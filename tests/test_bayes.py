@@ -13,7 +13,7 @@ from radonlik import ModelFamily, SampleSpace, finite_family
 from radonlik.harness.config import load_config
 from radonlik.harness.experiments import run_bayes
 from radonlik.bayes import (GRID_PRIOR_NODES, DominatingMeasure, LikelihoodVanishesError, Prior,
-                            binomial_family, dominance_check, marginal_density,
+                            _simpson_weights, binomial_family, dominance_check, marginal_density,
                             posterior, predictive_invariance, predictive_measure)
 
 
@@ -27,8 +27,18 @@ class TestPrior:
         assert prior.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_beta_grid_prior_mass(self):
-        prior = Prior.beta_grid(2.0, 3.0)
+        prior = _beta_2_3_grid()
         assert prior.weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_grid_density_is_the_normalised_input(self):
+        # the density is stored, not rebuilt from the weights: dividing Simpson
+        # weights by any per-node step pattern gives a wrong density
+        prior = _beta_2_3_grid()
+        grid = prior.nodes
+        values = grid * (1.0 - grid) ** 2
+        mass = np.sum(_simpson_weights(grid) * values)
+        assert np.array_equal(prior.density(grid), values / mass)
+        assert np.max(np.abs(prior.density(grid) - beta_dist.pdf(grid, 2.0, 3.0))) <= 1e-11
 
     def test_beta_label_prior_mass(self):
         prior = Prior.beta(2.0, 3.0)
@@ -46,6 +56,8 @@ class TestPrior:
         lambda: Prior.from_grid([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
         lambda: Prior.from_grid([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
         lambda: Prior.from_grid([0.5], [1.0]),
+        # steps 0.1 and 0.9 in one Simpson pair: node 0 would weigh -7/6
+        lambda: Prior.from_grid([0.0, 0.1, 1.0], [1.0, 1.0, 1.0]),
         lambda: Prior.beta(math.nan, 2.0),
         lambda: Prior.beta(2.0, math.inf),
         lambda: Prior.beta(2000.0, 3.0),
@@ -53,14 +65,16 @@ class TestPrior:
         lambda: Prior.beta(5e5, 1.0),
         lambda: Prior.point_mass(math.nan),
         lambda: Prior.point_mass(-math.inf),
+        lambda: Prior.point_mass(0.3).density(0.3),
         lambda: posterior(_constant_family(math.nan), "counting", Prior.beta(2.0, 3.0), 0),
         lambda: posterior(_constant_family(math.inf), "counting", Prior.point_mass(0.5), 0),
         lambda: marginal_density(_constant_family(math.nan), "counting",
                                  Prior.uniform_grid(nodes=1025), 0),
     ], ids=["nan-density", "inf-density", "unsorted-grid", "repeated-node", "nan-node",
-            "inf-node", "one-node", "nan-a", "inf-b", "overflowing-rule-2000-3",
-            "overflowing-rule-1e4-1", "overflowing-rule-5e5-1", "nan-point", "inf-point",
-            "nan-kernel-posterior", "inf-kernel-posterior", "nan-kernel-marginal"])
+            "inf-node", "one-node", "negative-simpson-weight", "nan-a", "inf-b",
+            "overflowing-rule-2000-3", "overflowing-rule-1e4-1", "overflowing-rule-5e5-1",
+            "nan-point", "inf-point", "point-density", "nan-kernel-posterior",
+            "inf-kernel-posterior", "nan-kernel-marginal"])
     def test_bad_input_raises_where_it_enters(self, build):
         with pytest.raises(ValueError) as info:
             build()
@@ -75,6 +89,44 @@ class TestPrior:
         monkeypatch.setattr("radonlik.bayes.roots_jacobi",
                             lambda n, alpha, beta: roots_jacobi(n, beta, alpha))
         assert _worst_marginal_error(Prior.beta(2.0, 3.0), 2.0, 3.0) > 1e-8
+
+
+class TestSimpsonRule:
+    @staticmethod
+    def _errors(grid, degrees):
+        w = _simpson_weights(np.asarray(grid))
+        lo, hi = grid[0], grid[-1]
+        return [abs(np.sum(w * np.asarray(grid) ** k) - (hi ** (k + 1) - lo ** (k + 1)) / (k + 1))
+                for k in degrees]
+
+    def test_cubics_exact_on_uniform_grid(self):
+        assert max(self._errors(np.linspace(0.0, 1.0, 9), range(4))) <= 1e-15
+
+    def test_cubics_exact_when_each_pair_has_equal_steps(self):
+        # uneven across pairs, even within each: every parabola has its middle node
+        # at the centre of its pair, where Simpson is exact for cubics
+        grid = [0.0, 0.1, 0.2, 0.5, 0.8, 0.9, 1.0]
+        assert max(self._errors(grid, range(4))) <= 1e-15
+
+    def test_quadratics_exact_with_uneven_steps_in_a_pair(self):
+        # an off-centre middle node integrates x^3 with an error of
+        # (h0 + h1)^3 |h0 - h1| / 12
+        grid = [0.0, 0.4, 1.0, 1.3, 1.5]
+        assert max(self._errors(grid, range(3))) <= 1e-15
+        assert self._errors([0.0, 0.4, 1.0], [3])[0] == pytest.approx(0.2 / 12)
+
+    @pytest.mark.parametrize("grid,want", [
+        ([0.0, 1.0], [0.5, 0.5]),
+        ([0.0, 1.0, 2.0, 3.0], [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0 + 0.5, 0.5]),
+    ], ids=["two-nodes-trapezoid", "four-nodes-last-step-trapezoid"])
+    def test_even_node_count_ends_in_a_trapezoid_step(self, grid, want):
+        assert _simpson_weights(np.asarray(grid)) == pytest.approx(want, abs=1e-15)
+
+
+def _beta_2_3_grid():
+    """Beta(2, 3) density values on the default grid, normalised by the rule."""
+    grid = np.linspace(0.0, 1.0, GRID_PRIOR_NODES)
+    return Prior.from_grid(grid, grid * (1.0 - grid) ** 2)
 
 
 def _constant_family(log_value):
@@ -116,7 +168,7 @@ class TestMarginal:
     @pytest.mark.parametrize("prior,a,b", [
         (Prior.uniform_grid(), 1.0, 1.0),
         (Prior.beta(2.0, 3.0), 2.0, 3.0),
-        (Prior.beta_grid(2.0, 3.0), 2.0, 3.0),
+        (_beta_2_3_grid(), 2.0, 3.0),
     ])
     def test_matches_gamma_ratio_closed_form(self, prior, a, b):
         worst = 0.0
@@ -179,7 +231,7 @@ class TestPosterior:
             posterior(fam, "counting", Prior.point_mass(0.0), 1)
 
     def test_kernel_matches_pmf_expression_bit_for_bit(self):
-        # the kernel builds the pmf in place; the one-expression form is the reference
+        # the pmf expression the kernel evaluates, pinned bit for bit
         t = np.linspace(0.0, 1.0, 1025)
         for n in (1, 4, 10):
             family, _ = binomial_family(n, (0.5,))

@@ -12,7 +12,7 @@ from radonlik.expfam import (DivergentNormalizerError, DominatingMeasure,
                              gaussian_known_var_family, iid_family, log_densities,
                              log_density, poisson_family, tilt_to_lambda)
 from radonlik.harness import load_config
-from radonlik.harness.experiments import run_proportionality
+from radonlik.harness.experiments import run_expfam, run_proportionality
 
 
 class TestLogDensity:
@@ -226,3 +226,21 @@ class TestNegativeControls:
         monkeypatch.setattr(ExponentialFamily, "log_partition",
                             lambda fam, theta: 0.5 * original(fam, theta))
         assert not outcome()
+
+    def test_halved_log_partition_fails_every_normalizer_check(self, monkeypatch):
+        """The expfam experiment compares the family's own `log_partition`
+        with the closed form, so the halved method fails a named check for
+        each family, not only a rounding tie."""
+
+        def outcomes():
+            report, _ = run_expfam(load_config())
+            return {c.name: c.passed for c in report.checks
+                    if c.name.endswith("-normalizer-closed-form")}
+
+        assert outcomes() == dict.fromkeys(
+            ("bernoulli-normalizer-closed-form", "poisson-normalizer-closed-form",
+             "gaussian-normalizer-closed-form"), True)
+        original = ExponentialFamily.log_partition
+        monkeypatch.setattr(ExponentialFamily, "log_partition",
+                            lambda fam, theta: 0.5 * original(fam, theta))
+        assert not any(outcomes().values())

@@ -1,8 +1,12 @@
 """Config handling, report emission, CLI exit codes, determinism."""
 
+import hashlib
 import json
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from radonlik import LogLikelihoodCurve
 from radonlik.harness import (ConfigError, Report, emit_curves, load_config,
@@ -235,3 +239,51 @@ class TestCLI:
 
     def test_negative_tol_exit_two(self, tmp_path):
         assert main(["mcem", "--out", str(tmp_path), "--tol", "-1"]) == 2
+
+
+class TestArtifactDigests:
+    """`radonlik all` at the default seed keeps the bits of every artifact. A
+    change that moves a bit must say so here, with the new digests. The bits
+    follow the numeric libraries, so the digests hold for the versions below."""
+
+    VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+    SHA256 = {
+        "proportionality/report.json":
+            "ffbc6e3d853e1c21082765f920f610d7cb7280bd83a1aa8e5f2c05ef8fb895fc",
+        "proportionality/curves.csv":
+            "cdb7500eecab2495ffd12db7a77eabeb12022e4d2832a71638741b7eda49302b",
+        "mixture/report.json":
+            "5af5746a6c262fa22f552adf42eea670bb00edc8742bad210eda851c4228db56",
+        "mixture/curves.csv":
+            "c445993c46958a9c1796cf39eabab5cfc319c38df635cb563863fce21f7f8afe",
+        "expfam/report.json":
+            "9a653cb3ab8c5e47f4157e33d70c36a38f32acf20f3c6773dd10536715ac23df",
+        "expfam/curves.csv":
+            "22e69aee3362dd79cf5193acf20d0f21ced081cf92902f0e0ff65aa10a2d94b0",
+        "poisson/report.json":
+            "49549753b08956712b4c0213066d68fc9e731632efd11edec6c27df1d11f91cf",
+        "poisson/curves.csv":
+            "a064d0849429bc98f7a0246d6acd3e9e832a7f3940718191cd207cfb929ffc9c",
+        "diffusion/report.json":
+            "f8ae9726422d53385a669754672d9e97b3d1f958274192bf3021ee822cd4f220",
+        "diffusion/curves.csv":
+            "953bc271f5879381dd805479e647d199e5b136de95e4ebc017570fe77556a79e",
+        "bayes/report.json":
+            "aa4a62044621ed5383d44f6fad70ce24a7e60d62226b62e4b8bd629127c310d6",
+        "bayes/curves.csv":
+            "3d7aa11868003044f32064ffe4dfb4388d2f6c70a3e3379956819ce7a90fce9f",
+        "mcem/report.json":
+            "f36a8597756468dde468f0488ed5dd7be581e865b043efb9d5b731c2fadb465f",
+        "mcem/curves.csv":
+            "47a518019a6e28fc65235e612b5f14f036c6c59b1991556001b06f06fcfac352",
+    }
+
+    def test_default_run_matches_recorded_digests(self, tmp_path):
+        versions = {"python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__}
+        if versions != self.VERSIONS:
+            pytest.skip(f"digests recorded under {self.VERSIONS}, running {versions}")
+        assert main(["all", "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.SHA256}
+        assert digests == self.SHA256

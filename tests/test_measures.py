@@ -80,6 +80,14 @@ class TestMinimalDominatingMixture:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             finite_family((0, 1), [(mass, 1.0)], ("t",))
 
+    @pytest.mark.parametrize("rows", [[(0.5, 0.5)], [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0)]],
+                             ids=["too-few-rows", "too-many-rows"])
+    def test_row_count_must_match_grid(self, rows):
+        # rows were paired with grid values by zip: a short table built and then
+        # raised KeyError at the first curve, and extra rows were dropped
+        with pytest.raises(ValueError, match="2 grid values"):
+            finite_family((0, 1), rows, ("a", "b"))
+
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
             build_minimal_dominating_measure(bernoulli_family(), ())
