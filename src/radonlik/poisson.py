@@ -94,8 +94,8 @@ class IntensityModel:
     def intensity(self, theta, points) -> np.ndarray:
         """Intensities at an (N, d) array of points (or at one point)."""
         values = self.rate(theta, np.atleast_2d(points))
-        if (values < 0).any():
-            raise ValueError("intensity must be nonnegative")
+        if not ((values >= 0.0) & (values < math.inf)).all():
+            raise ValueError("intensity must be finite and nonnegative")
         return values
 
     def total(self, theta) -> float:
@@ -166,13 +166,13 @@ def _sum_log_intensity(model: IntensityModel, theta, pattern: PointPattern,
                        start: float) -> float:
     """start + sum of log intensities over the pattern, or -inf if one vanishes.
 
-    `math.log` and a sequential sum from `start`, point by point, give the
-    same bits as adding the logs one at a time in Python.
+    The logs are summed pairwise (`np.sum`), whose rounding error grows as
+    log N rather than N for a sequential sum.
     """
     lam = model.intensity(theta, pattern._points)
     if (lam == 0.0).any():
         return NEG_INF
-    return float(np.add.accumulate([start, *map(math.log, lam.tolist())])[-1])
+    return start + float(np.sum(np.log(lam)))
 
 
 def loglik_product_measure(model: IntensityModel, theta, pattern: PointPattern) -> float:
@@ -241,9 +241,8 @@ def loglinear_intensity(theta_grid: Sequence[tuple], region=((0.0, 1.0),)) -> In
         return (math.exp(a + b * hi) - math.exp(a + b * lo)) / b
 
     def rate(theta, x):
-        # math.exp, not np.exp: the two differ in the last bit on some inputs
         a, b = theta
-        return np.fromiter(map(math.exp, (a + b * x[:, 0]).tolist()), float, len(x))
+        return np.exp(a + b * x[:, 0])
 
     def max_rate(theta):
         a, b = theta

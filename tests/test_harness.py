@@ -249,9 +249,9 @@ class TestArtifactDigests:
     VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
     SHA256 = {
         "proportionality/report.json":
-            "ffbc6e3d853e1c21082765f920f610d7cb7280bd83a1aa8e5f2c05ef8fb895fc",
+            "b9d16d4992038ba6c9f6190c0cc379efce7ccbc71d070508b66d5c3a1c8739c7",
         "proportionality/curves.csv":
-            "cdb7500eecab2495ffd12db7a77eabeb12022e4d2832a71638741b7eda49302b",
+            "6b5713563ed1cc4c9c44230f076148696b4c32da2118bfc5e82a17543cb87366",
         "mixture/report.json":
             "5af5746a6c262fa22f552adf42eea670bb00edc8742bad210eda851c4228db56",
         "mixture/curves.csv":
@@ -261,9 +261,9 @@ class TestArtifactDigests:
         "expfam/curves.csv":
             "22e69aee3362dd79cf5193acf20d0f21ced081cf92902f0e0ff65aa10a2d94b0",
         "poisson/report.json":
-            "49549753b08956712b4c0213066d68fc9e731632efd11edec6c27df1d11f91cf",
+            "eca6aeb0232ffeb81b0683a3ffe74c3fb94a95504f4fd1e1badfd24684511887",
         "poisson/curves.csv":
-            "a064d0849429bc98f7a0246d6acd3e9e832a7f3940718191cd207cfb929ffc9c",
+            "99fe585259d7eb0c8634f515b23814347abc61dc52f7e67516f558548c8bb3c2",
         "diffusion/report.json":
             "f8ae9726422d53385a669754672d9e97b3d1f958274192bf3021ee822cd4f220",
         "diffusion/curves.csv":

@@ -160,6 +160,33 @@ class TestKernelGap:
                            rate=model.rate)
 
 
+def _fixed_rate(values):
+    """A model whose rate is `values` at the pattern's points (or NaN elsewhere)."""
+    def rate(theta, x):
+        return np.array(values) if len(x) == len(values) else np.full(len(x), math.nan)
+    return IntensityModel(name="fixed", region=((0.0, 1.0),), theta_grid=(1.0,), rate=rate,
+                          cumulative=lambda theta: 1.0)
+
+
+class TestBadIntensity:
+    """A NaN, infinite or negative intensity fails where it enters."""
+
+    @pytest.mark.parametrize("values", [(0.0, math.nan), (math.nan, 2.0), (1.0, math.inf),
+                                        (-1.0, 1.0)])
+    @pytest.mark.parametrize("kernel", [loglik_product_measure, loglik_jacod])
+    def test_kernels_raise(self, unit_region_pattern, kernel, values):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            kernel(_fixed_rate(values), 1.0, unit_region_pattern)
+
+    def test_all_nan_rate_fails_thinning(self):
+        model = _fixed_rate(())
+        seed = next(k for k in range(50) if np.random.default_rng(k).poisson(2.0) > 0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate_thinning(model, 1.0, 2.0, seed)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            thinning_counts(model, 1.0, 2.0, 0, 20)
+
+
 class TestThinning:
     def test_zero_intensity_empty_pattern(self):
         model = constant_intensity((0.0,))
@@ -205,12 +232,13 @@ class TestThinning:
 
 
 class TestArrayKernelBits:
-    """Bits recorded with the per-point loops that thinning and both kernels
-    used before they became array code: each golden is the repr of the value.
+    """Golden bits of thinning and both kernels: each golden is the repr of the value.
 
-    The thinned locations pin the random stream (the order of the location
-    and acceptance draws, and each acceptance comparison); the kernel values
-    pin the intensity formulas, `math.log` and the sequential sum.
+    The thinned locations, recorded with the per-point loop that thinning
+    used before it became array code, pin the random stream (the order of
+    the location and acceptance draws, and each acceptance comparison); the
+    kernel values pin the intensity formulas, `np.log` and the pairwise
+    `np.sum` from which the start is added.
     """
 
     MODELS = {
@@ -226,17 +254,17 @@ class TestArrayKernelBits:
     GOLDEN = {
         ('constant', 0): (
             ((0.02479145329279364,), (1.3691333659165825,)),
-            [-2.193147180559945, -2.610565716811635, -3.920558458320164],
-            [0.0, -0.4174185362516898, -1.7274112777602186]),
+            [-2.193147180559945, -2.610565716811635, -3.9205584583201643],
+            [0.0, -0.4174185362516898, -1.7274112777602189]),
         ('constant', 1): (
             ((0.6349896734588635,), (0.6137987045537419,), (0.04133866986460255,),
              (0.8072149698289173,)),
-            [-4.678053830347945, -3.262890902851325, -3.632876385868382],
-            [0.0, 1.4151629274966204, 1.0451774444795625]),
+            [-4.678053830347945, -3.262890902851325, -3.632876385868383],
+            [0.0, 1.4151629274966204, 1.0451774444795623]),
         ('constant', 2): (
             ((0.900150788948481,), (0.28185161004990517,), (0.41245405185905715,)),
-            [-3.2917594692280554, -2.79288727360559, -3.632876385868383],
-            [0.0, 0.4988721956224653, -0.34111691664032806]),
+            [-3.2917594692280554, -2.79288727360559, -3.632876385868384],
+            [0.0, 0.4988721956224653, -0.3411169166403285]),
         ('sinusoidal', 0): (
             ((1.2199053588004087,),),
             [-1.259649005253561, -3.4793466027692417, -6.286830865187042],
@@ -245,8 +273,8 @@ class TestArrayKernelBits:
             ((1.1302696630122098,), (0.4547922439374675,), (0.20106254587074712,),
              (0.3051828610142244,), (1.125547008945079,), (1.44248579049568,),
              (0.8118402833211513,)),
-            [-9.121684887918375, -4.749708753425394, -4.492239273247249],
-            [0.9034764731470415, 5.275452607640019, 5.5329220878181635]),
+            [-9.121684887918374, -4.749708753425397, -4.492239273247252],
+            [0.9034764731470415, 5.275452607640018, 5.532922087818163]),
         ('sinusoidal', 60): (
             (),
             [-1.6591549430918953, -4.977464829275686, -8.295774715459476],
@@ -255,49 +283,49 @@ class TestArrayKernelBits:
             ((0.061460285904292034,), (1.2237803311822981,), (1.286106414881354,),
              (1.0944831696449162,), (1.2947683835248298,), (0.4495678358060772,),
              (0.04247950671819445,), (1.0059366220404455,)),
-            [-15.822622740567544, -5.3421410626241785, -9.077684808795441],
-            [-3.7180198378222964, 6.762461840121072, 3.0269180939498077]),
+            [-15.822622740567546, -5.342141062624178, -9.077684808795441],
+            [-3.718019837822297, 6.762461840121071, 3.0269180939498077]),
         ('loglinear', 1): (
             ((1.2415538907306627,), (0.8243905315095892,), (1.1302696630122098,),
              (0.4547922439374675,), (0.20106254587074712,), (0.3051828610142244,),
              (1.125547008945079,)),
-            [-12.884975774673526, -4.9681698037538, -7.4982432671156065],
-            [-2.859814413608112, 5.056991557311615, 2.5269180939498077]),
+            [-12.884975774673526, -4.968169803753799, -7.4982432671156065],
+            [-2.8598144136081114, 5.0569915573116155, 2.5269180939498077]),
         ('loglinear', 2): (
             ((1.2213386108914204,), (0.28185161004990517,), (0.843398494170642,),
              (1.4511539287405149,)),
-            [-6.801317752905309, -3.5120959337368287, -3.651135736398137],
+            [-6.80131775290531, -3.5120959337368287, -3.651135736398137],
             [-2.1232639225573644, 1.1659578966111166, 1.0269180939498077]),
         ('constant-2d', 0): (
             ((0.016527635528529094, 0.6265404784005448), (0.6066357757671799, 0.4589931219679968)),
             [-2.693147180559945, -3.3068528194400546, -4.495922603223725],
-            [0.0, -0.6137056388801093, -1.8027754226637802]),
+            [0.0, -0.6137056388801094, -1.8027754226637804]),
         ('constant-2d', 1): (
             ((0.8277025938204418, -0.18160172726167745),
              (0.027559113243068367, 0.5070262173496132),
              (0.32973171649909216, 0.5768574068568086), (0.4534978894806515, -0.7319166055056705),
              (0.20345524067614962, -0.475373319116301)),
-            [-6.787491742782047, -5.32175583998232, -5.2944302994414985],
+            [-6.787491742782047, -5.32175583998232, -5.294430299441498],
             [0.0, 1.4657359027997265, 1.4930614433405491]),
         ('constant-2d', 2): (
             ((0.600100525965654, 0.45712105362358924), (0.05514662733306819, -0.4500612641879238),
              (0.562265662780428, -0.6998754733893278)),
-            [-3.7917594692280554, -3.712317927548219, -4.495922603223725],
-            [0.0, 0.07944154167983597, -0.7041631339956704]),
+            [-3.7917594692280554, -3.7123179275482197, -4.495922603223726],
+            [0.0, 0.07944154167983575, -0.7041631339956709]),
     }
 
-    # 41-point patterns, where a pairwise sum or np.exp would move the last bits:
+    # 41-point patterns, where a sequential sum or math.exp would move the last bits:
     # (model, theta) at seed 3 -> (count, product-measure curve, unit-rate curve)
     DENSE = {
         "sinusoidal": ((sinusoidal_intensity((20.0, 30.0, 40.0), ((0.0, 1.5),)), 30.0), (
             41,
-            [-18.57807223379855, -18.545552232282844, -23.342136692678775],
-            [96.95613954766306, 96.98865954917883, 92.19207508878291])),
+            [-18.578072233798622, -18.545552232282887, -23.342136692678793],
+            [96.95613954766306, 96.9886595491788, 92.1920750887829])),
         "loglinear": ((loglinear_intensity(((3.0, 0.6), (3.5, -0.2), (2.5, 1.0)), ((0.0, 1.5),)),
                        (3.0, 0.6)), (
             41,
-            [-17.191742075380578, -21.01681725937159, -16.109884503926985],
-            [98.34246970608113, 94.51739452209009, 99.42432727753472])),
+            [-17.191742075380574, -21.016817259371578, -16.109884503926992],
+            [98.34246970608112, 94.51739452209011, 99.4243272775347])),
     }
 
     @staticmethod
@@ -338,6 +366,83 @@ class TestArrayKernelBits:
         likelihood_curve(family, MEASURE_PRODUCT, pattern)
         likelihood_curve(family, MEASURE_UNIT_POISSON, pattern)
         assert calls == [pattern.count] * (2 * len(model.theta_grid))
+
+
+class _CountingMath:
+    """The `math` module, except that it counts its `log` and `exp` calls."""
+
+    def __init__(self):
+        self.calls = {"log": 0, "exp": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(math, name)
+        if name not in self.calls:
+            return fn
+
+        def counted(x):
+            self.calls[name] += 1
+            return fn(x)
+        return counted
+
+
+class TestLargePatternKernels:
+    """Both routes on a pattern of about 2e4 points, the size of the benchmark's
+    large-sample pattern."""
+
+    MODEL = sinusoidal_intensity(tuple(np.linspace(0.8, 1.2, 11) * 2e4))
+
+    @pytest.fixture(scope="class")
+    def pattern(self):
+        return simulate_thinning(self.MODEL, 2e4, self.MODEL.max_rate(2e4), 19)
+
+    def _starts(self, theta, pattern):
+        total = self.MODEL.total(theta)
+        return {loglik_product_measure: -math.lgamma(pattern.count + 1) - total,
+                loglik_jacod: -(total - pattern.volume)}
+
+    def test_within_pairwise_bound_of_exact_sum(self, pattern):
+        # np.sum adds a block of up to 128 terms as 8 interleaved runs of up
+        # to 16 (15 roundings), sums the runs pairwise (3) and adds up to 7
+        # leftover terms one by one (7); blocks are combined by halving, in at
+        # most ceil(log2 N) levels. Each log is within an ulp (2u relative) of
+        # the exact value, here and in the reference (4u), and adding the
+        # start rounds once more (1u).
+        u = np.finfo(float).eps / 2
+        depth = math.ceil(math.log2(pattern.count)) + 15 + 3 + 7 + 4 + 1
+        for theta in self.MODEL.theta_grid:
+            logs = list(map(math.log, self.MODEL.intensity(theta, pattern._points).tolist()))
+            for kernel, start in self._starts(theta, pattern).items():
+                exact = math.fsum([start, *logs])
+                scale = abs(start) + math.fsum(map(abs, logs))
+                assert abs(kernel(self.MODEL, theta, pattern) - exact) <= depth * u * scale
+
+    def test_gap_identity(self, pattern):
+        # the routes share the bits of the log sum, so their gap is off from
+        # -|S| - log N! only by the roundings of the starts (lgamma's included),
+        # of adding each to the sum and of the difference
+        gap = -pattern.volume - math.lgamma(pattern.count + 1)
+        for theta in self.MODEL.theta_grid:
+            product = loglik_product_measure(self.MODEL, theta, pattern)
+            unit = loglik_jacod(self.MODEL, theta, pattern)
+            magnitudes = [*self._starts(theta, pattern).values(), product, unit, gap]
+            tol = 2 * np.finfo(float).eps * math.fsum(map(abs, magnitudes))
+            assert abs((product - unit) - gap) <= tol
+
+    @pytest.mark.parametrize("model, theta", [
+        (MODEL, 2e4),
+        (loglinear_intensity(((9.0, 1.0), (9.5, 0.5), (8.5, 1.5))), (9.0, 1.0)),
+    ], ids=["sinusoidal", "loglinear"])
+    def test_no_per_point_math_calls(self, monkeypatch, model, theta):
+        pattern = simulate_thinning(model, theta, model.max_rate(theta), 23)
+        assert pattern.count > 5000
+        counting = _CountingMath()
+        monkeypatch.setattr(poisson, "math", counting)
+        family = pattern_model_family(model)
+        likelihood_curve(family, MEASURE_PRODUCT, pattern)
+        likelihood_curve(family, MEASURE_UNIT_POISSON, pattern)
+        # Lambda(theta) may take two exps per theta and route
+        assert counting.calls["log"] == 0
+        assert counting.calls["exp"] <= 4 * len(model.theta_grid)
 
 
 def _reference_counts(model, theta, bound, seed, replicates):
