@@ -220,8 +220,8 @@ def run_mixture(config: dict) -> tuple[Report, Curves]:
                mle=best_correct, p_true=p_true)
 
     best_naive = grid[min(argmax_indices(c_naive))]
-    report.add("naive-mle-reported", True, mle=best_naive,
-               bias=best_naive - p_true)
+    report.add("naive-mle-reported", abs(best_naive - p_true) > abs(best_correct - p_true),
+               mle=best_naive, bias=best_naive - p_true)
 
     mis = check_proportionality(c_correct, c_naive, tol)
     report.add("naive-kernel-not-proportional", not mis.passed,

@@ -113,6 +113,9 @@ class PointMassMixture:
             raise ValueError("atom masses must be positive")
         if any(q <= 0 for q, _ in self.components):
             raise ValueError("component weights must be positive")
+        regions = sorted(c.region for _, c in self.components)
+        if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(regions, regions[1:])):
+            raise ValueError("component regions must not overlap, endpoints included")
         total = sum(p for _, p in self.atoms) + sum(q for q, _ in self.components)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {total}, not 1")
@@ -156,56 +159,85 @@ def simulate(mix: PointMassMixture, n: int, seed) -> np.ndarray:
     return out
 
 
+def _in_region(x: np.ndarray, region: tuple, closed: bool) -> np.ndarray:
+    lo, hi = region
+    return (x >= lo) & (x <= hi) if closed else (x > lo) & (x < hi)
+
+
 def _log_density_curve(mixes: Sequence[PointMassMixture], ys, variant: str,
                        lebesgue_scale: float = 1.0) -> list[float]:
     """Sum of log densities over an i.i.d. sample, one value per mixture.
 
-    `lebesgue_scale` divides the continuous part, matching a kernel taken
-    against counting + scale * Lebesgue. Variants: "correct" (atom indicator
+    `lebesgue_scale` s divides the continuous part, matching a kernel taken
+    against counting + s * Lebesgue. Variants: "correct" (atom indicator
     kept), "naive" (indicator dropped), "lebesgue-only" (continuous part
     alone, zero at atoms).
 
-    The sample-only work is done once for the curve: each distinct
-    component's density, zeroed off its region (open, or closed for
-    "naive"), and each atom's positions in the sample. Per mixture the
-    continuous part is then a weighted sum of those arrays, and each atom is
-    one index assignment. Since q * 0 = 0, weighting a zeroed array gives
-    the bits of weighting inside the region alone.
+    Off the atoms a draw lies in at most one component region (open, or
+    closed for "naive"), where its log density is log q_j + log f_j(y) -
+    log s. So the sample is read once per curve: for each distinct
+    component, the count n_j of off-atom draws in its region and their
+    sum S_j of log f_j, one `density` call over those draws and the atoms in
+    the region; and each atom's count n_a. Each p then costs O(atoms +
+    components) scalar work,
+
+        sum_j (n_j log q_j + S_j) - n_off log s + sum_a n_a log d_a,
+
+    with d_a = p at an atom of the mixture ("correct"), p plus the
+    continuous density at a over s ("naive", and at an atom of another
+    mixture in the curve) or 0 ("lebesgue-only"). A draw off the atoms in
+    no region gives -inf. So the "correct" curves at scales s and t differ
+    by the theta-free n_off log(t / s) alone.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    masked, positions = {}, {}
+    if np.isnan(ys).any():
+        raise ValueError("sample contains NaN")
+    closed = variant == "naive"
+    at_atom = np.zeros(ys.shape, dtype=bool)
+    atom_counts = {}
+    for mix in mixes:
+        for a, _ in mix.atoms:
+            if a not in atom_counts:
+                here = ys == a
+                atom_counts[a] = int(np.count_nonzero(here))
+                at_atom |= here
+    hit = np.array([a for a, n in atom_counts.items() if n], dtype=float)
+    n_off = ys.size - sum(atom_counts.values())
+    off_ys = ys[~at_atom]
+    stats = {}
     for mix in mixes:
         for _, comp in mix.components:
-            if comp not in masked:
-                lo, hi = comp.region
-                if variant == "naive":
-                    inside = (ys >= lo) & (ys <= hi)
-                else:
-                    inside = (ys > lo) & (ys < hi)
-                masked[comp] = np.where(inside, comp.density(ys), 0.0)
-        for a, _ in mix.atoms:
-            if a not in positions:
-                positions[a] = np.flatnonzero(ys == a)
+            if comp not in stats:
+                inside = off_ys[_in_region(off_ys, comp.region, closed)]
+                atoms_inside = hit[_in_region(hit, comp.region, closed)]
+                dens = comp.density(np.concatenate((inside, atoms_inside)))
+                with np.errstate(divide="ignore"):
+                    log_sum = float(np.sum(np.log(dens[:inside.size])))
+                at_atoms = dict(zip(atoms_inside.tolist(), dens[inside.size:].tolist()))
+                stats[comp] = (inside.size, log_sum, at_atoms)
+    log_scale = math.log(lebesgue_scale)
     values = []
     for mix in mixes:
-        terms = [q * masked[comp] for q, comp in mix.components]
-        dens = sum(terms[1:], terms[0]) if terms else np.zeros_like(ys)
-        dens /= lebesgue_scale
-        for a, p in mix.atoms:
-            here = positions[a]
-            if variant == "naive":
-                dens[here] += p
-            elif variant == "lebesgue-only":
-                dens[here] = 0.0
-            else:
-                dens[here] = p
-        if np.any(dens <= 0.0):
-            # a NaN draw is in no region and at no atom, so it always lands here
-            if np.isnan(ys).any():
-                raise ValueError("sample contains NaN")
+        covered, value = 0, 0.0
+        for q, comp in mix.components:
+            n, log_sum, _ = stats[comp]
+            covered += n
+            value += n * math.log(q) + log_sum
+        if covered < n_off:
             values.append(NEG_INF)
-        else:
-            values.append(float(np.sum(np.log(dens))))
+            continue
+        value -= n_off * log_scale
+        masses = dict(mix.atoms)
+        for a in hit.tolist():
+            if a in masses and variant == "correct":
+                d = masses[a]
+            elif a in masses and variant == "lebesgue-only":
+                d = 0.0
+            else:
+                continuous = sum(q * stats[comp][2].get(a, 0.0) for q, comp in mix.components)
+                d = masses.get(a, 0.0) + continuous / lebesgue_scale
+            value = value + atom_counts[a] * math.log(d) if d > 0.0 else NEG_INF
+        values.append(value)
     return values
 
 

@@ -249,13 +249,13 @@ class TestArtifactDigests:
     VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
     SHA256 = {
         "proportionality/report.json":
-            "b9d16d4992038ba6c9f6190c0cc379efce7ccbc71d070508b66d5c3a1c8739c7",
+            "9d2486bc161cc1177e46072fccfe13081ae1d2de223d35b95f7e6cc4548160d8",
         "proportionality/curves.csv":
             "6b5713563ed1cc4c9c44230f076148696b4c32da2118bfc5e82a17543cb87366",
         "mixture/report.json":
-            "5af5746a6c262fa22f552adf42eea670bb00edc8742bad210eda851c4228db56",
+            "a6dba18ee2b4280d2dc2aaad0f996f59524b8e9ccf16570e52523e6c8d807760",
         "mixture/curves.csv":
-            "c445993c46958a9c1796cf39eabab5cfc319c38df635cb563863fce21f7f8afe",
+            "e2939c5d9e643a9c860e7f38bd67cf046af33eb3f5a6e51b39ac524395d56c69",
         "expfam/report.json":
             "9a653cb3ab8c5e47f4157e33d70c36a38f32acf20f3c6773dd10536715ac23df",
         "expfam/curves.csv":

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from radonlik import argmax_invariance, check_proportionality, likelihood_curve, mixture
 from radonlik.harness.config import load_config
 from radonlik.harness.experiments import run_mixture
-from radonlik.mixture import (COMPONENT_CATALOG, PointMassMixture, _log_density_curve,
-                              atom_weight_family, atom_weight_mixture, grid_mle,
-                              mixture_total_mass, simulate)
+from radonlik.mixture import (COMPONENT_CATALOG, PointMassMixture, Uniform,
+                              _log_density_curve, atom_weight_family, atom_weight_mixture,
+                              grid_mle, mixture_total_mass, simulate)
 
 
 def density_correct(mix, y):
@@ -63,6 +63,16 @@ class TestDensities:
         with pytest.raises(ValueError):
             PointMassMixture(atoms=((0.0, 0.3),),
                              components=((0.6, COMPONENT_CATALOG["exponential"]()),))
+
+    @pytest.mark.parametrize("second", [(1.0, 2.0), (0.5, 0.75), (-1.0, 0.0)],
+                             ids=["shared-endpoint", "nested", "touching-below"])
+    def test_overlapping_components_rejected(self, second):
+        first = Uniform(name="first", region=(0.0, 1.0))
+        other = Uniform(name="other", region=second)
+        with pytest.raises(ValueError, match="overlap"):
+            PointMassMixture(atoms=(), components=((0.5, first), (0.5, other)))
+        PointMassMixture(atoms=(), components=((0.5, first),
+                                               (0.5, Uniform(name="apart", region=(1.5, 2.0)))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,71 +244,78 @@ class TestScalarOracle:
 
 
 class TestArrayKernelBits:
-    """Bits recorded with the per-mixture kernel that recomputed the
-    component density for every p: each golden is the repr of the value."""
+    """Bits of the split kernel, which sums log f_j over each component's
+    draws once per curve and adds the per-p terms n_j log q_j, -n_off log s
+    and n_a log d_a: each golden is the repr of the value."""
 
     # (component, sample, measure id): curve values over GOLDEN_GRID
     CURVES = {
         ('exponential', 'draws', 'counting-lebesgue'):
-            (-12.758195081890605, -10.374261353465414, -11.022736751371156,
-             -13.76345279501423, -21.547093391235478),
+            (-12.758195081890603, -10.374261353465416, -11.022736751371156,
+             -13.763452795014228, -21.54709339123548),
         ('exponential', 'draws', 'counting-2lebesgue'):
-            (-18.303372526370165, -15.919438797944977, -16.56791419585072,
-             -19.30863023949379, -27.09227083571505),
+            (-18.30337252637017, -15.919438797944977, -16.56791419585072,
+             -19.30863023949379, -27.092270835715045),
         ('exponential', 'draws', 'counting-lebesgue-naive'):
-            (-3.5478547099144224, -5.558370136161671, -8.250148029131374,
-             -12.3367530192593, -21.125651328604178),
+            (-3.547854709914422, -5.558370136161671, -8.250148029131374,
+             -12.336753019259298, -21.125651328604178),
         ('exponential', 'draws', 'lebesgue-only'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('exponential', 'edge', 'counting-lebesgue'):
-            (-15.06078017488465, -11.57823415779135, -11.715883931931101,
-             -14.120127738952963, -21.652453906893303),
+            (-15.060780174884648, -11.578234157791352, -11.715883931931101,
+             -14.12012773895296, -21.65245390689331),
         ('exponential', 'edge', 'counting-2lebesgue'):
             (-20.60595761936421, -17.123411602270913, -17.261061376410662,
              -19.665305183432523, -27.197631351372873),
         ('exponential', 'edge', 'counting-lebesgue-naive'):
-            (-3.5478547099144224, -5.558370136161671, -8.250148029131374,
-             -12.3367530192593, -21.125651328604178),
+            (-3.547854709914422, -5.558370136161671, -8.250148029131374,
+             -12.336753019259298, -21.125651328604178),
         ('exponential', 'edge', 'lebesgue-only'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('exponential', 'off-atom', 'counting-lebesgue'):
-            (-3.547854709914422, -5.558370136161672, -8.250148029131374,
+            (-3.547854709914422, -5.558370136161671, -8.250148029131374,
              -12.336753019259298, -21.125651328604178),
         ('exponential', 'off-atom', 'counting-2lebesgue'):
             (-9.093032154393985, -11.103547580641234, -13.795325473610937,
              -17.88193046373886, -26.67082877308374),
         ('exponential', 'off-atom', 'counting-lebesgue-naive'):
-            (-3.547854709914422, -5.558370136161672, -8.250148029131374,
+            (-3.547854709914422, -5.558370136161671, -8.250148029131374,
              -12.336753019259298, -21.125651328604178),
         ('exponential', 'off-atom', 'lebesgue-only'):
-            (-3.547854709914422, -5.558370136161672, -8.250148029131374,
+            (-3.547854709914422, -5.558370136161671, -8.250148029131374,
              -12.336753019259298, -21.125651328604178),
         ('uniform', 'draws', 'counting-lebesgue'):
-            (-10.053224497238793, -7.669290768813603, -8.317766166719343,
+            (-10.053224497238793, -7.669290768813604, -8.317766166719343,
              -11.058482210362417, -18.84212280658367),
         ('uniform', 'draws', 'counting-2lebesgue'):
-            (-15.598401941718356, -13.214468213293166, -13.862943611198906,
-             -16.603659654841977, -24.38730025106323),
+            (-15.598401941718354, -13.214468213293166, -13.862943611198906,
+             -16.60365965484198, -24.387300251063234),
         ('uniform', 'draws', 'counting-lebesgue-naive'):
             (-0.8428841252626103, -2.8533995515098596, -5.545177444479562,
              -9.631782434607487, -18.420680743952367),
         ('uniform', 'draws', 'lebesgue-only'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('uniform', 'edge', 'counting-lebesgue'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('uniform', 'edge', 'counting-2lebesgue'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('uniform', 'edge', 'counting-lebesgue-naive'):
             (-0.9482446409204366, -3.210074495448592, -6.238324625039508,
              -10.835755238933423, -20.723265836946414),
         ('uniform', 'edge', 'lebesgue-only'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('uniform', 'off-atom', 'counting-lebesgue'):
             (-0.8428841252626103, -2.8533995515098596, -5.545177444479562,
              -9.631782434607487, -18.420680743952367),
         ('uniform', 'off-atom', 'counting-2lebesgue'):
-            (-6.388061569742173, -8.398576995989423, -11.090354888959125,
-             -15.176959879087049, -23.96585818843193),
+            (-6.388061569742172, -8.398576995989423, -11.090354888959125,
+             -15.17695987908705, -23.96585818843193),
         ('uniform', 'off-atom', 'counting-lebesgue-naive'):
             (-0.8428841252626103, -2.8533995515098596, -5.545177444479562,
              -9.631782434607487, -18.420680743952367),
@@ -306,37 +323,41 @@ class TestArrayKernelBits:
             (-0.8428841252626103, -2.8533995515098596, -5.545177444479562,
              -9.631782434607487, -18.420680743952367),
         ('gaussian-truncated', 'draws', 'counting-lebesgue'):
-            (-27.321678117815004, -24.93774438938981, -25.586219787295548,
-             -28.32693583093862, -36.110576427159884),
+            (-27.321678117815004, -24.937744389389813, -25.586219787295555,
+             -28.326935830938627, -36.110576427159884),
         ('gaussian-truncated', 'draws', 'counting-2lebesgue'):
-            (-32.86685556229456, -30.482921833869373, -31.131397231775107,
+            (-32.86685556229457, -30.482921833869376, -31.131397231775118,
              -33.87211327541819, -41.65575387163945),
         ('gaussian-truncated', 'draws', 'counting-lebesgue-naive'):
-            (-21.217278707374376, -22.30065441843472, -24.24026724439831,
-             -27.694007236180532, -35.93662650753075),
+            (-21.217278707374376, -22.30065441843473, -24.24026724439831,
+             -27.694007236180536, -35.93662650753075),
         ('gaussian-truncated', 'draws', 'lebesgue-only'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('gaussian-truncated', 'edge', 'counting-lebesgue'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('gaussian-truncated', 'edge', 'counting-2lebesgue'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('gaussian-truncated', 'edge', 'counting-lebesgue-naive'):
-            (-26.7388743091514, -28.07356444849265, -30.349649511077452,
+            (-26.7388743091514, -28.073564448492657, -30.349649511077452,
              -34.31421512662566, -43.65544668664399),
         ('gaussian-truncated', 'edge', 'lebesgue-only'):
-            (-math.inf, -math.inf, -math.inf, -math.inf, -math.inf),
+            (-math.inf, -math.inf, -math.inf,
+             -math.inf, -math.inf),
         ('gaussian-truncated', 'off-atom', 'counting-lebesgue'):
-            (-18.111337745838817, -20.12185317208607, -22.81363106505577,
-             -26.900236055183694, -35.68913436452858),
+            (-18.11133774583882, -20.12185317208607, -22.813631065055773,
+             -26.900236055183697, -35.68913436452858),
         ('gaussian-truncated', 'off-atom', 'counting-2lebesgue'):
-            (-23.65651519031838, -25.667030616565633, -28.358808509535333,
+            (-23.656515190318384, -25.667030616565633, -28.358808509535336,
              -32.44541349966326, -41.23431180900814),
         ('gaussian-truncated', 'off-atom', 'counting-lebesgue-naive'):
-            (-18.111337745838817, -20.12185317208607, -22.81363106505577,
-             -26.900236055183694, -35.68913436452858),
+            (-18.11133774583882, -20.12185317208607, -22.813631065055773,
+             -26.900236055183697, -35.68913436452858),
         ('gaussian-truncated', 'off-atom', 'lebesgue-only'):
-            (-18.111337745838817, -20.12185317208607, -22.81363106505577,
-             -26.900236055183694, -35.68913436452858),
+            (-18.11133774583882, -20.12185317208607, -22.813631065055773,
+             -26.900236055183697, -35.68913436452858),
     }
 
     # (component, sample): grid_mle index set for correct, naive and
@@ -388,6 +409,129 @@ class TestArrayKernelBits:
         assert len(calls) == 2
 
 
+class _CountingNumpy:
+    """numpy, except that it records the size of every `log` argument."""
+
+    def __init__(self):
+        self.log_sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x, *args, **kwargs):
+        self.log_sizes.append(np.size(x))
+        return np.log(x, *args, **kwargs)
+
+
+def _two_uniform_mixture(p):
+    """An atom at 1.5 between two uniform components on (0, 1) and (2, 3)."""
+    left, right = Uniform(name="left", region=(0.0, 1.0)), Uniform(name="right", region=(2.0, 3.0))
+    return PointMassMixture(atoms=((1.5, p),), components=(((1 - p) / 2, left),
+                                                           ((1 - p) / 2, right)))
+
+
+def _oracle_density(mix, ys, variant, scale):
+    """Per-draw density of a one-atom, one-component mixture, in array form."""
+    (atom, p), = mix.atoms
+    (q, comp), = mix.components
+    lo, hi = comp.region
+    inside = (ys >= lo) & (ys <= hi) if variant == "naive" else (ys > lo) & (ys < hi)
+    dens = np.where(inside, q * comp.density(ys) / scale, 0.0)
+    at_atom = ys == atom
+    if variant == "correct":
+        dens[at_atom] = p
+    elif variant == "naive":
+        dens[at_atom] += p
+    else:
+        dens[at_atom] = 0.0
+    return dens
+
+
+class TestSplitKernel:
+    """The sample is read once per curve; each p costs O(atoms + components)."""
+
+    N = 10 ** 5
+    GRID = (0.1, 0.3, 0.7)
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        cases = {}
+        for name in sorted(COMPONENT_CATALOG):
+            comp = COMPONENT_CATALOG[name]()
+            atom = 0.5 if name == "uniform" else 0.0
+            draws = simulate(atom_weight_mixture(atom, comp, 0.3), self.N, seed=29)
+            cases[name] = (comp, atom, draws)
+        return cases
+
+    @pytest.mark.parametrize("points", [5, 99])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_log_per_component_per_curve(self, monkeypatch, points, variant):
+        grid = tuple(np.linspace(0.05, 0.95, points))
+        comp = COMPONENT_CATALOG["exponential"]()
+        cases = [([atom_weight_mixture(0.0, comp, p) for p in grid],
+                  simulate(atom_weight_mixture(0.0, comp, 0.3), 2000, seed=5), 1),
+                 ([_two_uniform_mixture(p) for p in grid],
+                  simulate(_two_uniform_mixture(0.3), 2000, seed=5), 2)]
+        for mixes, ys, components in cases:
+            counting = _CountingNumpy()
+            monkeypatch.setattr(mixture, "np", counting)
+            _log_density_curve(mixes, ys, variant)
+            _log_density_curve(mixes, ys, variant, lebesgue_scale=2.0)
+            # each draw off the atoms is logged at most once per curve
+            assert len(counting.log_sizes) == 2 * components
+            assert sum(counting.log_sizes) <= 2 * len(ys)
+
+    @pytest.mark.parametrize("variant, oracle", [("correct", density_correct),
+                                                 ("naive", density_naive)])
+    def test_atoms_of_other_mixtures_in_the_curve(self, variant, oracle):
+        # a draw at another mixture's atom has that mixture's continuous density
+        comp = COMPONENT_CATALOG["exponential"]()
+        mixes = [atom_weight_mixture(0.5, comp, 0.3), atom_weight_mixture(1.0, comp, 0.3),
+                 PointMassMixture(atoms=((0.5, 0.2), (2.0, 0.1)), components=((0.7, comp),))]
+        ys = np.array([0.5, 1.0, 1.0, 2.0, 0.4, 3.5])
+        for mix, got in zip(mixes, _log_density_curve(mixes, ys, variant)):
+            want = sum(math.log(oracle(mix, float(y))) for y in ys)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(COMPONENT_CATALOG))
+    def test_within_pairwise_bound_of_exact_sum(self, large, name):
+        # np.sum adds each component's logs in at most ceil(log2 N) + 25
+        # roundings (see TestLargePatternKernels in test_poisson.py); the
+        # n_j log q_j, n_off log s and n_a log d_a terms and the logs on both
+        # sides round a few times more (8). The reference's q f / s rounds
+        # twice before its log, an absolute error of up to 2u per draw.
+        comp, atom, draws = large[name]
+        u = np.finfo(float).eps / 2
+        depth = math.ceil(math.log2(self.N)) + 25 + 8
+        mixes = [atom_weight_mixture(atom, comp, p) for p in self.GRID]
+        for ys in (draws, draws[draws != atom]):
+            for variant in VARIANTS:
+                for scale in (1.0, 2.0):
+                    curve = _log_density_curve(mixes, ys, variant, scale)
+                    for mix, got in zip(mixes, curve):
+                        dens = _oracle_density(mix, ys, variant, scale)
+                        if dens.min() == 0.0:
+                            assert got == -math.inf, (variant, scale)
+                            continue
+                        logs = list(map(math.log, dens.tolist()))
+                        exact = math.fsum(logs)
+                        bound = depth * u * math.fsum(map(abs, logs)) + 2 * u * len(ys)
+                        assert abs(got - exact) <= bound, (variant, scale, len(ys))
+
+    @pytest.mark.parametrize("name", sorted(COMPONENT_CATALOG))
+    def test_scale_ratio_is_n_off_log_2(self, large, name):
+        comp, atom, draws = large[name]
+        family = atom_weight_family(atom, comp, self.GRID)
+        c1 = likelihood_curve(family, "counting-lebesgue", draws)
+        c2 = likelihood_curve(family, "counting-2lebesgue", draws)
+        n_off = int(np.count_nonzero(draws != atom))
+        # half an ulp of the larger magnitude, |c2|, for each rounding: n_off
+        # log 2 here and in the kernel, its subtraction, adding the atom
+        # terms to each curve, and the difference
+        for v1, v2 in zip(c1.values, c2.values):
+            assert abs((v1 - v2) - n_off * math.log(2.0)) <= 3 * math.ulp(max(-v1, -v2))
+
+
 class TestNegativeControls:
     def test_unweighted_continuous_part_fails_correct_mle(self, monkeypatch):
         """Leaving the continuous part unweighted by 1 - p must fail the
@@ -409,4 +553,23 @@ class TestNegativeControls:
             return original(mixes, ys, variant, lebesgue_scale)
 
         monkeypatch.setattr(mixture, "_log_density_curve", unweighted)
+        assert not outcome()
+
+    def test_correct_kernel_as_naive_fails_naive_mle_check(self, monkeypatch):
+        """With the naive kernel swapped for the correct one, the naive MLE is
+        the correct MLE, so `naive-mle-reported` must fail."""
+        config = load_config()
+
+        def outcome():
+            report, _ = run_mixture(config)
+            return {c.name: c.passed for c in report.checks}["naive-mle-reported"]
+
+        assert outcome()
+        original = mixture._log_density_curve
+
+        def never_naive(mixes, ys, variant, lebesgue_scale=1.0):
+            variant = "correct" if variant == "naive" else variant
+            return original(mixes, ys, variant, lebesgue_scale)
+
+        monkeypatch.setattr(mixture, "_log_density_curve", never_naive)
         assert not outcome()
