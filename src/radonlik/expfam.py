@@ -47,6 +47,8 @@ class ExponentialFamily:
     def log_carrier(self, omega) -> float:
         if self.log_carrier_fn is not None:
             return self.log_carrier_fn(omega)
+        if isinstance(omega, (float, np.floating)) and math.isnan(omega):
+            raise ValueError("draw is NaN")
         h = self.carrier(omega)
         if h < 0:
             raise ValueError("carrier h must be nonnegative")
@@ -174,27 +176,45 @@ def change_dominating_measure(fam: ExponentialFamily, new_base: DominatingMeasur
     return _with_carrier(fam, f"{fam.name}@{new_base.id}", new_carrier, new_base)
 
 
+def _distinct_draws(sample, n: int) -> tuple[list, np.ndarray]:
+    """The distinct values of an n-draw sample, and each draw's index among them."""
+    draws = np.asarray(sample, dtype=float)
+    if draws.shape != (n,):
+        raise ValueError(f"sample of shape {draws.shape} for an {n}-draw i.i.d. family")
+    if np.isnan(draws).any():
+        raise ValueError("sample contains NaN")
+    values, inverse = np.unique(draws, return_inverse=True)
+    return values.tolist(), inverse
+
+
+def _sum_in_draw_order(terms: np.ndarray) -> np.ndarray:
+    """0.0 + terms[0] + terms[1] + ... along axis 0, the bits of a Python loop."""
+    return np.cumsum(np.concatenate((np.zeros((1, *terms.shape[1:])), terms)), axis=0)[-1]
+
+
 def iid_family(fam: ExponentialFamily, n: int) -> ExponentialFamily:
     """n-fold i.i.d. extension: statistics add, carriers multiply.
 
     The extension is a density against the n-fold product of `fam.base`;
-    it keeps `fam.base` as its base, which stands for that product.
+    it keeps `fam.base` as its base, which stands for that product. Its
+    statistic and log carrier call `fam`'s once per distinct draw and add
+    the per-draw terms in draw order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
 
     def stat(sample):
-        return sum(np.atleast_1d(np.asarray(fam.sufficient_stat(w), dtype=float))
-                   for w in sample)
+        values, inverse = _distinct_draws(sample, n)
+        per_value = np.array([np.atleast_1d(np.asarray(fam.sufficient_stat(w), dtype=float))
+                              for w in values])
+        return _sum_in_draw_order(per_value[inverse])
 
     def log_carrier(sample):
-        total = 0.0
-        for w in sample:
-            lw = fam.log_carrier(w)
-            if lw == NEG_INF:
-                return NEG_INF
-            total += lw
-        return total
+        values, inverse = _distinct_draws(sample, n)
+        per_value = np.array([fam.log_carrier(w) for w in values], dtype=float)
+        if (per_value == NEG_INF).any():
+            return NEG_INF
+        return float(_sum_in_draw_order(per_value[inverse]))
 
     if fam.closed_form_logpart is not None:
         logpart = lambda theta: n * fam.closed_form_logpart(theta)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .likelihood import NEG_INF, ModelFamily, SampleSpace, argmax_indices, likelihood_curve
+from .likelihood import ModelFamily, SampleSpace, argmax_indices, likelihood_curve
 
 MEASURE_PRODUCT = "count-location-product"
 MEASURE_UNIT_POISSON = "unit-rate-poisson"
@@ -80,20 +80,27 @@ class PointPattern:
 class IntensityModel:
     """theta-indexed intensity on a region, with its integral Lambda(theta).
 
-    `rate(theta, x)` maps an (N, d) float array of points to N intensities;
+    `rate(thetas, x)` maps K grid values and an (N, d) float array of points
+    to a new (K, N) array of intensities, one row per theta, so that
+    theta-free work on the points is done once for the whole grid;
     `cumulative(theta)` is the closed-form Lambda(theta).
     """
 
     name: str
     region: tuple
     theta_grid: tuple
-    rate: Callable                 # (theta, (N, d) array) -> N intensities >= 0
+    rate: Callable                 # (K thetas, (N, d) array) -> (K, N) intensities >= 0
     cumulative: Callable           # theta -> Lambda(theta), in closed form
     max_rate: Callable | None = None     # theta -> sup of the intensity, the thinning bound
 
-    def intensity(self, theta, points) -> np.ndarray:
-        """Intensities at an (N, d) array of points (or at one point)."""
-        values = self.rate(theta, np.atleast_2d(points))
+    def intensity(self, thetas, points) -> np.ndarray:
+        """(K, N) intensities at an (N, d) array of points (or at one point),
+        one row per theta of `thetas`."""
+        points = np.atleast_2d(points)
+        values = self.rate(thetas, points)
+        if values.shape != (len(thetas), len(points)):
+            raise ValueError(f"rate returned shape {values.shape} for {len(thetas)} thetas "
+                             f"and {len(points)} points")
         if not ((values >= 0.0) & (values < math.inf)).all():
             raise ValueError("intensity must be finite and nonnegative")
         return values
@@ -122,7 +129,7 @@ def _thin(model: IntensityModel, theta, bound: float, rng: np.random.Generator,
     raw = rng.random((n_prop, d + 1))
     lo, hi = np.array(model.region).T
     pts = lo + (hi - lo) * raw[:, :d]
-    lam = model.intensity(theta, pts)
+    lam = model.intensity((theta,), pts)[0]
     over = lam > bound
     if over.any():
         i = int(np.argmax(over))
@@ -162,28 +169,33 @@ def thinning_counts(model: IntensityModel, theta, bound: float, seed,
     return counts
 
 
-def _sum_log_intensity(model: IntensityModel, theta, pattern: PointPattern,
-                       start: float) -> float:
-    """start + sum of log intensities over the pattern, or -inf if one vanishes.
+def _log_likelihoods(model: IntensityModel, thetas, pattern: PointPattern,
+                     measure_id: str) -> list[float]:
+    """Log likelihood at each theta against `measure_id`, from one intensity call.
 
-    The logs are summed pairwise (`np.sum`), whose rounding error grows as
-    log N rather than N for a sequential sum.
+    Each row's logs are summed pairwise (`np.sum`), whose rounding error grows
+    as log N rather than N for a sequential sum; a row where the intensity
+    vanishes sums to -inf. The theta's start term is added to its row's sum.
     """
-    lam = model.intensity(theta, pattern._points)
-    if (lam == 0.0).any():
-        return NEG_INF
-    return start + float(np.sum(np.log(lam)))
+    lam = model.intensity(thetas, pattern._points)
+    with np.errstate(divide="ignore"):
+        sums = np.log(lam, out=lam).sum(axis=1)
+    if measure_id == MEASURE_PRODUCT:
+        log_n_factorial = math.lgamma(pattern.count + 1)
+        starts = [-log_n_factorial - model.total(theta) for theta in thetas]
+    else:
+        starts = [-(model.total(theta) - pattern.volume) for theta in thetas]
+    return [start + float(s) for start, s in zip(starts, sums)]
 
 
 def loglik_product_measure(model: IntensityModel, theta, pattern: PointPattern) -> float:
     """Log density against counting x Lebesgue on (N, s_1..s_N)."""
-    return _sum_log_intensity(model, theta, pattern,
-                              -math.lgamma(pattern.count + 1) - model.total(theta))
+    return _log_likelihoods(model, (theta,), pattern, MEASURE_PRODUCT)[0]
 
 
 def loglik_jacod(model: IntensityModel, theta, pattern: PointPattern) -> float:
     """Log density against the unit-rate Poisson-process law on the region."""
-    return _sum_log_intensity(model, theta, pattern, -(model.total(theta) - pattern.volume))
+    return _log_likelihoods(model, (theta,), pattern, MEASURE_UNIT_POISSON)[0]
 
 
 def mle_intensity(model: IntensityModel, pattern: PointPattern,
@@ -195,10 +207,9 @@ def mle_intensity(model: IntensityModel, pattern: PointPattern,
 def pattern_model_family(model: IntensityModel) -> ModelFamily:
     """Both likelihood routes bundled for curve and proportionality checks."""
     family = ModelFamily(model.theta_grid, SampleSpace(label="point-pattern"))
-    family.register_kernel(
-        MEASURE_PRODUCT, lambda ths, pat: [loglik_product_measure(model, th, pat) for th in ths])
-    family.register_kernel(
-        MEASURE_UNIT_POISSON, lambda ths, pat: [loglik_jacod(model, th, pat) for th in ths])
+    for measure_id in (MEASURE_PRODUCT, MEASURE_UNIT_POISSON):
+        family.register_kernel(measure_id, lambda ths, pat, _m=measure_id:
+                               _log_likelihoods(model, ths, pat, _m))
     return family
 
 
@@ -214,7 +225,7 @@ def location_density_mass(model: IntensityModel, theta, n: int) -> float:
         raise ValueError("n must be 1 or 2")
     lo, hi = model.region[0]
     total = model.total(theta)
-    value, _ = quad(lambda s: model.rate(theta, np.array([[s]]))[0] / total, lo, hi,
+    value, _ = quad(lambda s: model.rate((theta,), np.array([[s]]))[0, 0] / total, lo, hi,
                     epsabs=1e-10, limit=200)
     return value ** n
 
@@ -225,7 +236,8 @@ def constant_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),)) -> Int
     region = tuple(tuple(side) for side in region)
     volume = float(math.prod(hi - lo for lo, hi in region))
     return IntensityModel(name="constant", region=region, theta_grid=tuple(theta_grid),
-                          rate=lambda c, x: np.full(len(x), float(c)),
+                          rate=lambda cs, x: np.full((len(cs), len(x)),
+                                                    np.asarray(cs, dtype=float)[:, None]),
                           cumulative=lambda c: float(c) * volume,
                           max_rate=lambda c: float(c))
 
@@ -240,9 +252,9 @@ def loglinear_intensity(theta_grid: Sequence[tuple], region=((0.0, 1.0),)) -> In
             return math.exp(a) * (hi - lo)
         return (math.exp(a + b * hi) - math.exp(a + b * lo)) / b
 
-    def rate(theta, x):
-        a, b = theta
-        return np.exp(a + b * x[:, 0])
+    def rate(thetas, x):
+        a, b = np.asarray(thetas, dtype=float).T
+        return np.exp(a[:, None] + b[:, None] * x[:, 0])
 
     def max_rate(theta):
         a, b = theta
@@ -262,7 +274,8 @@ def sinusoidal_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),),
         return c * ((hi - lo) + wobble * (math.cos(two_pi * lo) - math.cos(two_pi * hi)) / two_pi)
 
     return IntensityModel(name="sinusoidal", region=((lo, hi),), theta_grid=tuple(theta_grid),
-                          rate=lambda c, x: c * (1.0 + wobble * np.sin(two_pi * x[:, 0])),
+                          rate=lambda cs, x: (np.asarray(cs, dtype=float)[:, None]
+                                              * (1.0 + wobble * np.sin(two_pi * x[:, 0]))),
                           cumulative=cumulative,
                           max_rate=lambda c: float(c) * (1.0 + abs(wobble)) + 1e-9)
 

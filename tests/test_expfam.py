@@ -1,18 +1,19 @@
 """Exponential families: natural form, normalizers, tilting, base changes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from radonlik import argmax_invariance, check_proportionality, likelihood_curve
-from radonlik.expfam import (DivergentNormalizerError, DominatingMeasure,
+from radonlik.expfam import (EXPFAM_CATALOG, DivergentNormalizerError, DominatingMeasure,
                              ExponentialFamily, as_model_family, bernoulli_family,
                              change_dominating_measure, compute_log_partition,
                              gaussian_known_var_family, iid_family, log_densities,
                              log_density, poisson_family, tilt_to_lambda)
 from radonlik.harness import load_config
-from radonlik.harness.experiments import run_expfam, run_proportionality
+from radonlik.harness.experiments import _expfam_variants, run_expfam, run_proportionality
 
 
 class TestLogDensity:
@@ -179,6 +180,95 @@ class TestLogDensities:
     def test_vanishing_carrier_gives_neg_inf_everywhere(self):
         fam = poisson_family((0.5, 1.0, 2.0), truncation=5)
         assert log_densities(fam, fam.theta_grid, 6).tolist() == [float("-inf")] * 3
+
+
+def _per_draw_stat(fam, sample):
+    """The i.i.d. statistic as a loop over draws: the reference bits."""
+    return sum(np.atleast_1d(np.asarray(fam.sufficient_stat(w), dtype=float)) for w in sample)
+
+
+def _per_draw_log_carrier(fam, sample):
+    """The i.i.d. log carrier as a loop over draws: the reference bits."""
+    total = 0.0
+    for w in sample:
+        lw = fam.log_carrier(w)
+        if lw == float("-inf"):
+            return lw
+        total += lw
+    return total
+
+
+def _counted(fn, calls, key):
+    def counting(omega):
+        calls[key] += 1
+        return fn(omega)
+    return counting
+
+
+class TestIIDDistinctDraws:
+    """The i.i.d. statistic and log carrier take the scalar family's once per
+    distinct draw and add the per-draw terms in draw order."""
+
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(20)
+        poisson = tuple(float(x) for x in rng.poisson(2.5, size=3000))
+        gaussian = tuple(float(x) for x in rng.normal(0.3, 1.0, size=3000))
+        return {"poisson": (poisson_family(tuple(np.linspace(0.4, 6.0, 15))), poisson),
+                "gaussian": (gaussian_known_var_family(tuple(np.linspace(-2.0, 2.0, 9))),
+                             gaussian),
+                "signed-zeros": (gaussian_known_var_family((0.0, 1.0)), (-0.0, 0.0, -0.0))}
+
+    @pytest.mark.parametrize("name", ["poisson", "gaussian", "signed-zeros"])
+    def test_bits_of_the_per_draw_loop(self, name):
+        fam, sample = self._samples()[name]
+        variants = [fam, *(v for mid, v in _expfam_variants(fam)
+                           if mid in ("lambda-tilt", "geometric-weighted", "lebesgue-x2"))]
+        assert len(variants) == 3       # base, tilt and one reweighted base
+        for variant in variants:
+            iid = iid_family(variant, len(sample))
+            assert repr(iid.sufficient_stat(sample)) == repr(_per_draw_stat(variant, sample))
+            assert repr(iid.log_carrier(sample)) == repr(_per_draw_log_carrier(variant, sample))
+            got = log_densities(iid, iid.theta_grid, sample)
+            want = [TestLogDensities.per_theta(iid, th, sample) for th in iid.theta_grid]
+            assert got.tolist() == want
+
+    def test_vanishing_carrier_at_one_draw(self):
+        fam = poisson_family((0.5, 1.0, 2.0), truncation=5)
+        iid = iid_family(fam, 4)
+        assert iid.log_carrier((1.0, 6.0, 2.0, 1.0)) == float("-inf")
+        assert log_densities(iid, fam.theta_grid, (1.0, 6.0, 2.0, 1.0)).tolist() == [
+            float("-inf")] * 3
+
+    def test_one_call_per_distinct_draw(self):
+        fam, sample = self._samples()["poisson"]
+        calls = {"stat": 0, "carrier": 0}
+        counted = dataclasses.replace(
+            fam, sufficient_stat=_counted(fam.sufficient_stat, calls, "stat"),
+            carrier=_counted(fam.carrier, calls, "carrier"))
+        distinct = len(set(sample))
+        assert distinct < 30
+        model = as_model_family(iid_family(counted, len(sample)))
+        likelihood_curve(model, "base", sample)
+        assert calls == {"stat": distinct, "carrier": distinct}
+
+
+class TestBadSample:
+    """A NaN draw or a sample of the wrong length fails where it enters."""
+
+    @pytest.mark.parametrize("name", sorted(EXPFAM_CATALOG))
+    def test_nan_draw_raises(self, name):
+        fam = EXPFAM_CATALOG[name]((0.3, 0.6))
+        with pytest.raises(ValueError, match="NaN"):
+            likelihood_curve(as_model_family(fam), "base", math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            likelihood_curve(as_model_family(iid_family(fam, 3)), "base", (1.0, math.nan, 0.0))
+
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_sample_length_must_be_n(self, size):
+        iid = iid_family(poisson_family((0.5, 1.0)), 3)
+        with pytest.raises(ValueError, match="3-draw"):
+            log_densities(iid, iid.theta_grid, (1.0,) * size)
 
 
 class TestFactorization:

@@ -149,7 +149,7 @@ class TestKernelGap:
         for model in models:
             (lo, hi), = model.region
             for theta in model.theta_grid:
-                by_quad, _ = quad(lambda s: model.rate(theta, np.array([[s]]))[0], lo, hi,
+                by_quad, _ = quad(lambda s: model.rate((theta,), np.array([[s]]))[0, 0], lo, hi,
                                   epsabs=1e-12, limit=200)
                 assert model.total(theta) == pytest.approx(by_quad, rel=1e-10, abs=1e-12)
 
@@ -162,8 +162,9 @@ class TestKernelGap:
 
 def _fixed_rate(values):
     """A model whose rate is `values` at the pattern's points (or NaN elsewhere)."""
-    def rate(theta, x):
-        return np.array(values) if len(x) == len(values) else np.full(len(x), math.nan)
+    def rate(thetas, x):
+        row = np.array(values) if len(x) == len(values) else np.full(len(x), math.nan)
+        return np.tile(row, (len(thetas), 1))
     return IntensityModel(name="fixed", region=((0.0, 1.0),), theta_grid=(1.0,), rate=rate,
                           cumulative=lambda theta: 1.0)
 
@@ -222,7 +223,7 @@ class TestThinning:
         (lo, hi), = model.region
         points = np.linspace(lo, hi, 2001)[:, None]
         for theta in model.theta_grid:
-            top = model.intensity(theta, points).max()
+            top = model.intensity((theta,), points).max()
             assert top <= model.max_rate(theta) <= top * (1.0 + 1e-5)
 
     def test_two_dimensional_region(self):
@@ -349,39 +350,99 @@ class TestArrayKernelBits:
         assert pattern.count == count
         assert repr(self._curves(model, pattern)) == repr((product, unit))
 
-    def test_one_intensity_call_per_thinning_and_per_theta(self, monkeypatch):
+    @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_curves_match_single_theta_kernels(self, key):
+        name, seed = key
+        model, theta = self.MODELS[name]
+        pattern = simulate_thinning(model, theta, model.max_rate(theta), seed)
+        family = pattern_model_family(model)
+        curves = [list(likelihood_curve(family, m, pattern).values)
+                  for m in (MEASURE_PRODUCT, MEASURE_UNIT_POISSON)]
+        assert repr(curves) == repr(list(self._curves(model, pattern)))
+
+    def test_one_intensity_call_per_thinning_and_per_curve(self, monkeypatch):
         calls = []
         original = IntensityModel.intensity
 
-        def counting(model, theta, points):
-            calls.append(len(np.atleast_2d(points)))
-            return original(model, theta, points)
+        def counting(model, thetas, points):
+            calls.append((len(thetas), len(np.atleast_2d(points))))
+            return original(model, thetas, points)
 
         monkeypatch.setattr(IntensityModel, "intensity", counting)
         model, theta = self.MODELS["sinusoidal"]
         pattern = simulate_thinning(model, theta, model.max_rate(theta), 1)
-        assert len(calls) == 1 and calls[0] > pattern.count
+        assert len(calls) == 1 and calls[0][0] == 1 and calls[0][1] > pattern.count
         calls.clear()
+        counting_np = _Counting(np, "sin")
+        monkeypatch.setattr(poisson, "np", counting_np)
         family = pattern_model_family(model)
         likelihood_curve(family, MEASURE_PRODUCT, pattern)
         likelihood_curve(family, MEASURE_UNIT_POISSON, pattern)
-        assert calls == [pattern.count] * (2 * len(model.theta_grid))
+        assert calls == [(len(model.theta_grid), pattern.count)] * 2
+        assert counting_np.calls["sin"] == 2
 
 
-class _CountingMath:
-    """The `math` module, except that it counts its `log` and `exp` calls."""
+class TestGridIntensity:
+    """One (K, N) intensity array per curve: each row stands alone."""
 
-    def __init__(self):
-        self.calls = {"log": 0, "exp": 0}
+    PATTERN = PointPattern(region=((0.0, 1.0),), locations=(0.2, 0.6, 0.9))
+
+    @pytest.mark.parametrize("measure_id", [MEASURE_PRODUCT, MEASURE_UNIT_POISSON])
+    def test_zero_row_is_neg_inf_in_that_row_only(self, measure_id):
+        model = constant_intensity((1.0, 0.0, 2.0))
+        curve = likelihood_curve(pattern_model_family(model), measure_id, self.PATTERN)
+        kernel = (loglik_product_measure if measure_id == MEASURE_PRODUCT else loglik_jacod)
+        assert curve.values[1] == -math.inf
+        assert [curve.values[0], curve.values[2]] == [kernel(model, 1.0, self.PATTERN),
+                                                      kernel(model, 2.0, self.PATTERN)]
+        assert math.isfinite(curve.values[0]) and math.isfinite(curve.values[2])
+
+    @pytest.mark.parametrize("measure_id", [MEASURE_PRODUCT, MEASURE_UNIT_POISSON])
+    def test_nan_in_one_row_raises(self, measure_id):
+        def rate(thetas, x):
+            values = np.tile(np.asarray(thetas, dtype=float)[:, None], (1, len(x)))
+            values[values == 2.0] = math.nan
+            return values
+
+        model = IntensityModel(name="nan-row", region=((0.0, 1.0),), theta_grid=(1.0, 2.0, 3.0),
+                               rate=rate, cumulative=float)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            likelihood_curve(pattern_model_family(model), measure_id, self.PATTERN)
+
+    def test_rate_of_wrong_shape_rejected(self):
+        model = IntensityModel(name="one-row", region=((0.0, 1.0),), theta_grid=(1.0, 2.0),
+                               rate=lambda thetas, x: np.ones(len(x)), cumulative=float)
+        with pytest.raises(ValueError, match="shape"):
+            likelihood_curve(pattern_model_family(model), MEASURE_PRODUCT, self.PATTERN)
+
+    @pytest.mark.parametrize("model", [
+        constant_intensity((0.5, 4.0), ((0.0, 1.5),)),
+        loglinear_intensity(((0.2, -0.9), (1.0, 0.6)), ((0.0, 1.5),)),
+        sinusoidal_intensity((0.5, 4.0), ((0.0, 1.5),)),
+    ], ids=lambda m: m.name)
+    def test_rows_are_the_single_theta_rates(self, model):
+        points = np.linspace(0.0, 1.5, 17)[:, None]
+        grid = model.intensity(model.theta_grid, points)
+        assert grid.shape == (len(model.theta_grid), len(points))
+        for row, theta in zip(grid, model.theta_grid):
+            assert row.tolist() == model.intensity((theta,), points)[0].tolist()
+
+
+class _Counting:
+    """A module, except that it counts its calls of the named functions."""
+
+    def __init__(self, module, *names):
+        self.module = module
+        self.calls = dict.fromkeys(names, 0)
 
     def __getattr__(self, name):
-        fn = getattr(math, name)
+        fn = getattr(self.module, name)
         if name not in self.calls:
             return fn
 
-        def counted(x):
+        def counted(*args, **kwargs):
             self.calls[name] += 1
-            return fn(x)
+            return fn(*args, **kwargs)
         return counted
 
 
@@ -410,7 +471,7 @@ class TestLargePatternKernels:
         u = np.finfo(float).eps / 2
         depth = math.ceil(math.log2(pattern.count)) + 15 + 3 + 7 + 4 + 1
         for theta in self.MODEL.theta_grid:
-            logs = list(map(math.log, self.MODEL.intensity(theta, pattern._points).tolist()))
+            logs = list(map(math.log, self.MODEL.intensity((theta,), pattern._points)[0].tolist()))
             for kernel, start in self._starts(theta, pattern).items():
                 exact = math.fsum([start, *logs])
                 scale = abs(start) + math.fsum(map(abs, logs))
@@ -435,7 +496,7 @@ class TestLargePatternKernels:
     def test_no_per_point_math_calls(self, monkeypatch, model, theta):
         pattern = simulate_thinning(model, theta, model.max_rate(theta), 23)
         assert pattern.count > 5000
-        counting = _CountingMath()
+        counting = _Counting(math, "log", "exp")
         monkeypatch.setattr(poisson, "math", counting)
         family = pattern_model_family(model)
         likelihood_curve(family, MEASURE_PRODUCT, pattern)
@@ -457,7 +518,7 @@ def _reference_counts(model, theta, bound, seed, replicates):
     for size in sizes:
         kept = 0
         for row in raw[start:start + size]:
-            kept += bool(row[d] < model.intensity(theta, lo + (hi - lo) * row[:d])[0] / bound)
+            kept += bool(row[d] < model.intensity((theta,), lo + (hi - lo) * row[:d])[0, 0] / bound)
         counts.append(kept)
         start += size
     return np.array(counts)
@@ -570,10 +631,10 @@ class TestThinningCounts:
         sizes = []
         original = IntensityModel.intensity
 
-        def counting(model, theta, points):
+        def counting(model, thetas, points):
             if (model.name, model.theta_grid) == gof:     # only the GOF's model
                 sizes.append(len(np.atleast_2d(points)))
-            return original(model, theta, points)
+            return original(model, thetas, points)
 
         monkeypatch.setattr(IntensityModel, "intensity", counting)
         run_poisson(config)
