@@ -85,52 +85,47 @@ def observations_from_csv(path) -> ObservationSet:
     return ObservationSet(times=tuple(times), values=tuple(values))
 
 
-def transform_observations(spec: "SDESpec", obs: "ObservationSet", theta) -> tuple:
-    """Observation values pushed through the space transform at one theta.
+def transform_observations(spec: "SDESpec", obs: "ObservationSet", thetas: Sequence) -> tuple:
+    """The observed-data terms of every theta in `thetas`: (x, log_jac).
 
-    The transform is strictly increasing in y (sigma > 0), so the transformed
-    values preserve the ordering of ties-free observations; violations signal
-    a broken sigma.
+    x (K, n + 1) holds the observation values pushed through the space
+    transform, and log_jac (K, n) the log Jacobian at each interval's right
+    end, log_jac[k, i] = log(1 / sigma(y[i + 1], theta_k)). The transform is
+    strictly increasing in y (sigma > 0), so it keeps the ordering of the
+    values; a violation signals a broken sigma.
     """
-    x = tuple(lamperti(spec, y, theta) for y in obs.values)
-    pairs = sorted(zip(obs.values, x))
-    for (y1, x1), (y2, x2) in zip(pairs, pairs[1:]):
-        if y1 < y2 and not x1 < x2:
-            raise ValueError("space transform is not strictly increasing; check sigma")
-    return x
-
-
-@dataclass(frozen=True)
-class BridgeSegment:
-    """Zero-pinned path values on a uniform grid over one interval."""
-
-    t0: float
-    t1: float
-    values: np.ndarray   # shape (m + 1,), endpoints exactly 0
-
-    def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise ValueError("bridge segment needs t1 > t0")
-        if np.ndim(self.values) != 1 or len(self.values) < 2 or not np.all(np.isfinite(self.values)):
-            raise ValueError("bridge values must be 1-D, finite and at least two entries long")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def step(self) -> float:
-        return (self.t1 - self.t0) / self.n_steps
+    x = np.array([[lamperti(spec, y, theta) for y in obs.values] for theta in thetas])
+    log_jac = np.array([[math.log(1.0 / spec.sigma(y, theta)) for y in obs.values[1:]]
+                        for theta in thetas])
+    order = np.argsort(obs.values, kind="stable")
+    rising = np.diff(np.asarray(obs.values)[order]) > 0
+    if np.any(rising & ~(np.diff(x[:, order], axis=1) > 0)):
+        raise ValueError("space transform is not strictly increasing; check sigma")
+    return x, log_jac
 
 
 @dataclass(frozen=True)
 class BridgeSet:
-    segments: tuple
+    """Zero-pinned bridge values, one row per observation interval: row i
+    holds a bridge on [times[i], times[i + 1]] at m + 1 equally spaced
+    points, both ends exactly 0."""
+
+    times: tuple
+    values: np.ndarray   # shape (len(times) - 1, m + 1)
 
     def __post_init__(self):
-        for seg in self.segments:
-            if seg.values[0] != 0.0 or seg.values[-1] != 0.0:
-                raise ValueError("bridge segments must start and end at exactly 0")
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError("bridge times must be strictly increasing")
+        shape = self.values.shape
+        if len(shape) != 2 or shape[0] != len(self.times) - 1 or shape[1] < 2:
+            raise ValueError("bridge values need shape (len(times) - 1, m + 1), one row per "
+                             f"interval with m >= 1; got {shape}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("bridge values must be finite")
+        if np.any(self.values[:, [0, -1]] != 0.0):
+            raise ValueError("bridge rows must start and end at exactly 0")
 
 
 # -- space transform ----------------------------------------------------------
@@ -141,10 +136,6 @@ def lamperti(spec: SDESpec, y_val: float, theta) -> float:
     if not lo <= y_val <= hi:
         raise ValueError(f"value {y_val} outside state interval {spec.state}")
     return float(spec.eta(y_val, theta))
-
-
-def lamperti_derivative(spec: SDESpec, y_val: float, theta) -> float:
-    return 1.0 / spec.sigma(y_val, theta)
 
 
 # -- bridges -------------------------------------------------------------------
@@ -177,13 +168,11 @@ def _pin_walk(walk: np.ndarray, scale: float, frac: np.ndarray,
 
 def sample_bridge_set(times: Sequence[float], n_steps: int, seed) -> BridgeSet:
     """One standard bridge per observation interval, seeded per interval."""
-    segments = []
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
+    values = np.empty((len(times) - 1, n_steps + 1))
+    for i, row in enumerate(values):
         rng = np.random.default_rng(_interval_seed(seed, i))
-        values = _bridge_rows(rng, 1, n_steps, (t1 - t0) / n_steps)[0]
-        segments.append(BridgeSegment(t0=t0, t1=t1, values=values))
-    return BridgeSet(segments=tuple(segments))
+        row[:] = _bridge_rows(rng, 1, n_steps, (times[i + 1] - times[i]) / n_steps)[0]
+    return BridgeSet(times=times, values=values)
 
 
 def _interval_seed(seed, i: int) -> list:
@@ -194,15 +183,16 @@ def _interval_seed(seed, i: int) -> list:
 
 # -- joint density of observations and bridges ---------------------------------
 
-def _drift_corrections(spec: SDESpec, bridge_rows: np.ndarray, ends: Sequence, dt: float,
+def _drift_corrections(spec: SDESpec, bridge_rows: np.ndarray, ends: Sequence, dt,
                        out: np.ndarray, path: np.ndarray, integrand: np.ndarray,
                        trap: np.ndarray) -> None:
     """Girsanov drift correction: for each (theta, x0, x1) in `ends`, out[k]
     receives, per row of the (rows, m + 1) zero-pinned `bridge_rows`, the
     trapezoid sum with step `dt` of (alpha^2 + alpha')/2 along the row
-    de-pinned onto the line x0 + frac * (x1 - x0). `path`, `integrand`
-    (rows, m + 1) and `trap` (rows, m) are work buffers; `path` may alias
-    `bridge_rows` only for one theta on scratch bridges.
+    de-pinned onto the line x0 + frac * (x1 - x0). x0, x1 and `dt` are
+    scalars shared by every row or (rows, 1) columns, one entry per row.
+    `path`, `integrand` (rows, m + 1) and `trap` (rows, m) are work buffers;
+    `path` may alias `bridge_rows` only for one theta on scratch bridges.
     """
     frac = np.linspace(0.0, 1.0, bridge_rows.shape[1])
     for k, (theta, x0, x1) in enumerate(ends):
@@ -222,33 +212,34 @@ def _drift_corrections(spec: SDESpec, bridge_rows: np.ndarray, ends: Sequence, d
 def obs_bridge_log_density(spec: SDESpec, obs: ObservationSet, bridges: BridgeSet,
                            thetas: Sequence) -> np.ndarray:
     """Joint log pseudo-density of (observations, zero-pinned bridges), one
-    value per theta in `thetas`; the bridge segments span the observation intervals.
+    value per theta in `thetas`; the bridge rows span the observation intervals.
 
     Per interval: the transform Jacobian at the right endpoint, the standard
     Gaussian density of the standardized transformed increment, and the
     drift correction exp{A(x_n) - A(x_0) - integral of (alpha^2 + alpha')/2
     along the de-pinned path}, the integral by trapezoid on the bridge grid.
+    Terms are added interval by interval.
     """
-    if [(seg.t0, seg.t1) for seg in bridges.segments] != list(zip(obs.times, obs.times[1:])):
-        raise ValueError("bridge segments must span the observation intervals, one each")
-    x = [transform_observations(spec, obs, theta) for theta in thetas]
-    values = np.empty(len(thetas))
-    for k, (theta, xk) in enumerate(zip(thetas, x)):
-        value = 0.0
-        for i in range(1, len(obs.values)):
-            dt = obs.times[i] - obs.times[i - 1]
-            z = (xk[i] - xk[i - 1]) / math.sqrt(dt)
-            value += math.log(lamperti_derivative(spec, obs.values[i], theta))
-            value += -0.5 * z * z - LOG_SQRT_2PI
-        values[k] = value + (spec.drift_integral_fn(xk[-1], theta)
-                             - spec.drift_integral_fn(xk[0], theta))
-    corrections = np.empty((len(thetas), 1))
-    for i, seg in enumerate(bridges.segments):
-        rows = np.asarray(seg.values, dtype=float).reshape(1, -1)
-        _drift_corrections(spec, rows, [(th, xk[i], xk[i + 1]) for th, xk in zip(thetas, x)],
-                           seg.step, corrections, np.empty_like(rows), np.empty_like(rows),
-                           np.empty((1, seg.n_steps)))
-        values -= corrections[:, 0]
+    if bridges.times != tuple(obs.times):
+        raise ValueError("bridge rows must span the observation intervals, one each")
+    x, log_jac = transform_observations(spec, obs, thetas)
+    dt = np.diff(obs.times)
+    z = np.diff(x, axis=1) / np.sqrt(dt)
+    gaussian = -0.5 * z * z - LOG_SQRT_2PI
+    values = np.zeros(len(thetas))
+    for i in range(obs.n_intervals):
+        values += log_jac[:, i]
+        values += gaussian[:, i]
+    values += [spec.drift_integral_fn(xk[-1], theta) - spec.drift_integral_fn(xk[0], theta)
+               for theta, xk in zip(thetas, x)]
+    rows = bridges.values
+    corrections = np.empty((len(thetas), len(rows)))
+    _drift_corrections(spec, rows, [(theta, xk[:-1, None], xk[1:, None])
+                                    for theta, xk in zip(thetas, x)],
+                       (dt / (rows.shape[1] - 1))[:, None], corrections,
+                       np.empty_like(rows), np.empty_like(rows), np.empty_like(rows[:, 1:]))
+    for column in corrections.T:
+        values -= column
     return values
 
 
@@ -256,8 +247,8 @@ def bridge_tilt_log_weight(obs: ObservationSet, bridges: BridgeSet) -> float:
     """A fixed positive theta-free functional of the data and bridges, used
     as the density of an alternative tilted reference measure."""
     total = sum(abs(b - a) for a, b in zip(obs.values, obs.values[1:]))
-    for seg in bridges.segments:
-        total += 0.5 * float(np.mean(seg.values ** 2))
+    for row in bridges.values:
+        total += 0.5 * float(np.mean(row ** 2))
     return total
 
 
@@ -452,7 +443,7 @@ def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
     theta_grid = tuple(theta_grid)
     if not theta_grid:
         raise ValueError("theta grid must be non-empty")
-    x = [transform_observations(spec, obs, theta) for theta in theta_grid]
+    x, log_jac = transform_observations(spec, obs, theta_grid)
     curve = [0.0] * len(theta_grid)
     for i in range(obs.n_intervals):
         live = [k for k, loglik in enumerate(curve) if loglik != NEG_INF]
@@ -460,16 +451,16 @@ def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
             break
         dt_i = obs.times[i + 1] - obs.times[i]
         m = _mc_steps(dt_i, dt_i * step_fraction, n_replicates)
-        ends = tuple((theta_grid[k], x[k][i], x[k][i + 1]) for k in live)
+        ends = tuple((theta_grid[k], x[k, i], x[k, i + 1]) for k in live)
         w_sums, c_sums, c_cross = _bridge_weight_sums(spec, ends, dt_i, m, n_replicates,
                                                       _interval_seed(seed, i), _CHUNK_ROWS)
-        for k, (theta, x0, x1), row in zip(live, ends, w_sums):
+        for k, (_, x0, x1), row in zip(live, ends, w_sums):
             est, _ = _density_from_sums(row, c_sums, c_cross, n_replicates, dt_i, x0, x1)
             if est <= 0.0:
                 curve[k] = NEG_INF
                 continue
             curve[k] += math.log(est)
-            curve[k] += math.log(lamperti_derivative(spec, obs.values[i + 1], theta))
+            curve[k] += float(log_jac[k, i])
     indices = argmax_indices(LogLikelihoodCurve("mc-observed-data", "obs", theta_grid,
                                                 tuple(curve)))
     return indices, curve

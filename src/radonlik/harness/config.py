@@ -13,6 +13,7 @@ import os
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import yaml
 
 from ..bayes import Prior
@@ -245,5 +246,4 @@ def resolve_out_dir(config: dict, cli_out=None) -> Path:
 
 
 def grid_from_spec(spec: dict) -> tuple:
-    import numpy as np
     return tuple(float(x) for x in np.linspace(spec["start"], spec["stop"], spec["count"]))

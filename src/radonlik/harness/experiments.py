@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.special import betaln
 from scipy.stats import beta as beta_dist
 from scipy.stats import chisquare, poisson as poisson_dist
 
@@ -455,22 +456,17 @@ def _refine(bridges: diffusion.BridgeSet, factor: int) -> diffusion.BridgeSet:
     Refining the same path isolates the quadrature error of the trapezoid
     rule from bridge sampling noise.
     """
-    segments = []
-    for seg in bridges.segments:
-        n = seg.n_steps * factor
-        frac_old = np.linspace(0.0, 1.0, seg.n_steps + 1)
-        frac_new = np.linspace(0.0, 1.0, n + 1)
-        values = np.interp(frac_new, frac_old, seg.values)
-        values[0] = 0.0
-        values[-1] = 0.0
-        segments.append(diffusion.BridgeSegment(t0=seg.t0, t1=seg.t1, values=values))
-    return diffusion.BridgeSet(segments=tuple(segments))
+    m = bridges.values.shape[1] - 1
+    frac_old = np.linspace(0.0, 1.0, m + 1)
+    frac_new = np.linspace(0.0, 1.0, m * factor + 1)
+    values = np.array([np.interp(frac_new, frac_old, row) for row in bridges.values])
+    values[:, [0, -1]] = 0.0
+    return diffusion.BridgeSet(times=bridges.times, values=values)
 
 
 # ---------------------------------------------------------------------------
 
 def _beta_binomial_closed(n: int, x: int, a: float, b: float) -> float:
-    from scipy.special import betaln
     return math.comb(n, x) * math.exp(betaln(x + a, n - x + b) - betaln(a, b))
 
 

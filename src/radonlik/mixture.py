@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.stats import norm
 
 from .likelihood import NEG_INF, LogLikelihoodCurve, ModelFamily, SampleSpace, argmax_indices
@@ -251,8 +252,6 @@ def grid_mle(mixes: Sequence[PointMassMixture], theta_grid: Sequence[float],
 def mixture_total_mass(mix: PointMassMixture, tail_cap: float = 60.0) -> float:
     """Atom masses plus quadrature of the continuous part of the correct
     density; unbounded regions are capped where the tail is negligible."""
-    from scipy.integrate import quad
-
     mass = sum(p for _, p in mix.atoms)
     for q, comp in mix.components:
         lo, hi = comp.region

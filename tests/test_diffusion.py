@@ -14,9 +14,9 @@ from scipy.integrate import quad
 
 from radonlik import argmax_invariance, check_proportionality, diffusion, likelihood_curve
 from radonlik.diffusion import (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED, SDE_CATALOG,
-                                BridgeSegment, BridgeSet, ObservationSet, SDESpec,
-                                _bridge_rows, _drift_corrections, brownian_drift_spec,
-                                diffusion_model_family, lamperti, lamperti_derivative,
+                                BridgeSet, ObservationSet, SDESpec, _bridge_rows,
+                                _drift_corrections, brownian_drift_spec,
+                                diffusion_model_family, lamperti,
                                 logistic_spec, mle_theta, obs_bridge_log_density,
                                 observations_from_csv, ou_exact_transition_density, ou_spec,
                                 sample_bridge_set, simulate_ou, transform_observations,
@@ -101,13 +101,18 @@ class TestLamperti:
     def test_constant_sigma_is_linear(self):
         spec = ou_spec(sigma0=2.0)
         assert lamperti(spec, 3.0, 1.0) == pytest.approx(1.5)
-        assert lamperti_derivative(spec, 3.0, 1.0) == pytest.approx(0.5)
-        assert lamperti_derivative(brownian_drift_spec(), 3.0, 1.0) == 1.0
+        obs = ObservationSet(times=(0.0, 1.0), values=(1.0, 3.0))
+        _, log_jac = transform_observations(spec, obs, (1.0,))
+        assert log_jac[0, 0] == pytest.approx(math.log(0.5))
+        _, log_jac = transform_observations(brownian_drift_spec(), obs, (1.0,))
+        assert log_jac[0, 0] == 0.0
 
     def test_multiplicative_sigma_gives_log(self):
         spec = logistic_spec()
         assert lamperti(spec, 4.0, 1.0) == pytest.approx(math.log(4.0))
-        assert lamperti_derivative(spec, 4.0, 1.0) == pytest.approx(0.25)
+        obs = ObservationSet(times=(0.0, 1.0), values=(1.0, 4.0))
+        _, log_jac = transform_observations(spec, obs, (1.0,))
+        assert log_jac[0, 0] == pytest.approx(math.log(0.25))
 
     def test_quadrature_route_matches_closed_form(self):
         spec = logistic_spec()
@@ -124,10 +129,20 @@ class TestLamperti:
 
     def test_transform_is_strictly_monotone_in_y(self):
         obs = ObservationSet(times=(0.0, 1.0, 2.0), values=(0.5, 2.0, 1.0))
-        trans = transform_observations(logistic_spec(), obs, 0.9)
+        x, _ = transform_observations(logistic_spec(), obs, (0.9,))
         order_y = np.argsort(obs.values)
-        order_x = np.argsort(trans)
+        order_x = np.argsort(x[0])
         assert np.array_equal(order_y, order_x)
+
+    def test_transform_takes_the_whole_grid(self):
+        obs = ObservationSet(times=(0.0, 1.0, 2.0), values=(0.5, 2.0, 1.0))
+        spec, thetas = logistic_spec(), (0.3, 0.9, 1.4)
+        x, log_jac = transform_observations(spec, obs, thetas)
+        assert x.shape == (3, 3) and log_jac.shape == (3, 2)
+        for k, theta in enumerate(thetas):
+            assert x[k].tolist() == [lamperti(spec, y, theta) for y in obs.values]
+            assert log_jac[k].tolist() == [math.log(1.0 / spec.sigma(y, theta))
+                                           for y in obs.values[1:]]
 
 
 class TestUnitDrift:
@@ -172,23 +187,21 @@ class TestBridgeSampling:
         assert np.all(values[:, 0] == 0.0) and np.all(values[:, -1] == 0.0)
 
     def test_step_equal_to_length_leaves_endpoints_only(self):
-        (segment,) = sample_bridge_set((0.0, 1.0), 1, seed=1).segments
-        assert np.array_equal(segment.values, np.zeros(2))
+        assert np.array_equal(sample_bridge_set((0.0, 1.0), 1, seed=1).values, np.zeros((1, 2)))
 
     def test_seed_reproducibility(self):
-        a = sample_bridge_set((0.0, 1.0, 2.0), 8, seed=11).segments
-        b = sample_bridge_set((0.0, 1.0, 2.0), 8, seed=11).segments
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        a = sample_bridge_set((0.0, 1.0, 2.0), 8, seed=11)
+        b = sample_bridge_set((0.0, 1.0, 2.0), 8, seed=11)
+        assert np.array_equal(a.values, b.values)
 
     def test_sequence_seeds_keep_every_entry(self):
         times = (0.0, 0.5, 1.25)
-        one = sample_bridge_set(times, 8, [7, 1]).segments
-        two = sample_bridge_set(times, 8, [7, 2]).segments
-        assert not any(np.array_equal(a.values, b.values) for a, b in zip(one, two))
+        one = sample_bridge_set(times, 8, [7, 1]).values
+        two = sample_bridge_set(times, 8, [7, 2]).values
+        assert not any(np.array_equal(a, b) for a, b in zip(one, two))
         # an int seed s is the one-entry sequence [s]
-        for a, b in zip(sample_bridge_set(times, 8, 7).segments,
-                        sample_bridge_set(times, 8, [7]).segments):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(sample_bridge_set(times, 8, 7).values,
+                              sample_bridge_set(times, 8, [7]).values)
         obs = ObservationSet(times=(0.0, 0.5, 1.0), values=(0.2, 0.1, -0.3))
         _, curve1 = mle_theta(ou_spec(), obs, (0.5, 1.0), 200, 0.05, seed=[4, 1])
         _, curve2 = mle_theta(ou_spec(), obs, (0.5, 1.0), 200, 0.05, seed=[4, 2])
@@ -202,22 +215,36 @@ class TestBridgeSampling:
         se = 0.25 * math.sqrt(2.0 / (draws - 1))
         assert abs(var - 0.25) <= 3.0 * se
 
-    def test_bridge_set_requires_zero_endpoints(self):
-        seg = BridgeSegment(t0=0.0, t1=1.0, values=np.array([0.1, 0.0]))
-        with pytest.raises(ValueError):
-            BridgeSet(segments=(seg,))
-
-    @pytest.mark.parametrize("t0, t1, values, match", [
-        (0.0, 1.0, np.zeros((2, 3)), "1-D"),
-        (0.0, 1.0, np.zeros(1), "two entries"),
-        (0.0, 1.0, np.array([0.0, math.nan, 0.0]), "finite"),
-        (0.0, 1.0, np.array([0.0, math.inf, 0.0]), "finite"),
-        (1.0, 1.0, np.zeros(3), "t1 > t0"),
-        (1.0, 0.5, np.zeros(3), "t1 > t0"),
+    @pytest.mark.parametrize("times, values, match", [
+        pytest.param((0.0, 1.0), np.zeros(3), "shape", id="1-D"),
+        pytest.param((0.0, 1.0, 2.0), np.zeros((1, 3)), "shape", id="rows"),
+        pytest.param((0.0, 1.0), np.zeros((1, 1)), "shape", id="one-column"),
+        pytest.param((0.0, 1.0), np.array([[0.0, math.nan, 0.0]]), "finite", id="nan"),
+        pytest.param((0.0, 1.0), np.array([[0.0, math.inf, 0.0]]), "finite", id="inf"),
+        pytest.param((0.0, 1.0), np.array([[0.1, 0.0]]), "exactly 0", id="nonzero-start"),
+        pytest.param((0.0, 1.0, 2.0), np.array([[0.0, 0.0], [0.0, -0.2]]), "exactly 0",
+                     id="nonzero-end"),
+        pytest.param((1.0, 1.0), np.zeros((1, 3)), "strictly increasing", id="times-equal"),
+        pytest.param((1.0, 0.5), np.zeros((1, 3)), "strictly increasing", id="times-decreasing"),
+        pytest.param((0.0, math.nan), np.zeros((1, 3)), "strictly increasing", id="times-nan"),
     ])
-    def test_bad_segment_rejected(self, t0, t1, values, match):
+    def test_bad_bridge_set_rejected(self, times, values, match):
         with pytest.raises(ValueError, match=match):
-            BridgeSegment(t0=t0, t1=t1, values=values)
+            BridgeSet(times=times, values=values)
+
+
+def _assert_trapezoid_rows(spec: SDESpec, rows: np.ndarray, ends: tuple, dt: np.ndarray,
+                           out: np.ndarray) -> None:
+    """Each out[k, r] is np.trapezoid of (alpha^2 + alpha')/2 along row r
+    de-pinned onto its line; x0 and x1 are scalars or (rows, 1) columns."""
+    frac = np.linspace(0.0, 1.0, rows.shape[1])
+    for k, (theta, x0, x1) in enumerate(ends):
+        for r, bridge in enumerate(rows):
+            a, b = (np.broadcast_to(v, (len(rows), 1))[r, 0] for v in (x0, x1))
+            path = bridge + (a + frac * (b - a))
+            alpha = spec.alpha_fn(path, theta)
+            integrand = 0.5 * (alpha * alpha + spec.dalpha_dx(path, theta))
+            assert out[k, r] == np.trapezoid(integrand, dx=dt[r, 0])
 
 
 class TestJointDensity:
@@ -265,6 +292,32 @@ class TestJointDensity:
         want = [obs_bridge_log_density(spec, obs, bridges, (th,))[0] for th in thetas]
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("spec, values", [
+        (ou_spec(sigma0=1.3), (0.0, 0.3, -0.2, 0.5)),
+        (logistic_spec(), (1.2, 0.7, 1.5, 1.1)),
+    ])
+    def test_density_equals_the_interval_loop(self, spec, values):
+        obs = ObservationSet(times=(0.0, 0.5, 1.0, 1.8), values=values)
+        bridges = sample_bridge_set(obs.times, n_steps=24, seed=8)
+        thetas = (0.25, 0.9, 2.0)
+        want = []
+        for theta in thetas:
+            x = [lamperti(spec, y, theta) for y in values]
+            value = 0.0
+            for i in range(3):
+                z = (x[i + 1] - x[i]) / math.sqrt(obs.times[i + 1] - obs.times[i])
+                value += math.log(1.0 / spec.sigma(values[i + 1], theta))
+                value += -0.5 * z * z - LOG_SQRT_2PI
+            value += spec.drift_integral_fn(x[-1], theta) - spec.drift_integral_fn(x[0], theta)
+            frac = np.linspace(0.0, 1.0, 25)
+            for i, bridge in enumerate(bridges.values):
+                path = bridge + (x[i] + frac * (x[i + 1] - x[i]))
+                alpha = spec.alpha_fn(path, theta)
+                integrand = 0.5 * (alpha * alpha + spec.dalpha_dx(path, theta))
+                value -= np.trapezoid(integrand, dx=(obs.times[i + 1] - obs.times[i]) / 24)
+            want.append(value)
+        assert obs_bridge_log_density(spec, obs, bridges, thetas).tolist() == want
+
     def test_drift_correction_is_the_trapezoid_rule(self):
         m, dt, spec = 300, 0.004, logistic_spec()
         rows = _bridge_rows(np.random.default_rng(5), 4, m, dt)
@@ -272,18 +325,25 @@ class TestJointDensity:
         out = np.empty((2, 4))
         _drift_corrections(spec, rows.copy(), ends, dt, out, np.empty_like(rows),
                            np.empty_like(rows), np.empty((4, m)))
-        frac = np.linspace(0.0, 1.0, m + 1)
-        for k, (theta, x0, x1) in enumerate(ends):
-            for r, bridge in enumerate(rows):
-                path = bridge + (x0 + frac * (x1 - x0))
-                alpha = spec.alpha_fn(path, theta)
-                integrand = 0.5 * (alpha * alpha + spec.dalpha_dx(path, theta))
-                assert out[k, r] == np.trapezoid(integrand, dx=dt)
+        _assert_trapezoid_rows(spec, rows, ends, np.full((4, 1), dt), out)
+
+    def test_drift_correction_takes_per_row_columns(self):
+        # one (x0, x1, dt) per row, as the fixed-bridge density passes them
+        m, spec = 300, logistic_spec()
+        rows = _bridge_rows(np.random.default_rng(5), 4, m, 0.004)
+        x0 = np.array([[0.1], [-0.5], [0.3], [1.2]])
+        x1 = np.array([[-0.3], [0.6], [0.3], [0.8]])
+        dt = np.array([[0.004], [0.0015], [0.002], [0.003]])
+        ends = ((0.7, x0, x1), (1.9, x1, x0))
+        out = np.empty((2, 4))
+        _drift_corrections(spec, rows.copy(), ends, dt, out, np.empty_like(rows),
+                           np.empty_like(rows), np.empty((4, m)))
+        _assert_trapezoid_rows(spec, rows, ends, dt, out)
 
     def test_one_density_call_per_curve(self, monkeypatch):
         obs = self.make_obs()
         bridges = sample_bridge_set(obs.times, n_steps=64, seed=9)
-        before = [seg.values.copy() for seg in bridges.segments]
+        before = bridges.values.copy()
         calls = []
         density = diffusion.obs_bridge_log_density
 
@@ -297,7 +357,21 @@ class TestJointDensity:
         for measure in (MEASURE_OBS_BRIDGE, MEASURE_OBS_BRIDGE_TILTED):
             likelihood_curve(family, measure, (positive, bridges))
         assert calls == [8, 8]
-        assert all(np.array_equal(seg.values, old) for seg, old in zip(bridges.segments, before))
+        assert np.array_equal(bridges.values, before)
+
+    def test_one_drift_correction_call_per_density_call(self, monkeypatch):
+        obs = self.make_obs()
+        bridges = sample_bridge_set(obs.times, n_steps=16, seed=3)
+        calls = []
+        corrections = diffusion._drift_corrections
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            corrections(*args)
+
+        monkeypatch.setattr(diffusion, "_drift_corrections", counted)
+        obs_bridge_log_density(ou_spec(), obs, bridges, (0.5, 1.0, 1.5))
+        assert calls == [(3, 17)]
 
     def test_fixed_bridge_proportionality(self):
         obs = self.make_obs()
@@ -325,8 +399,12 @@ class TestNegativeControls:
 
         assert outcome()
         transform = diffusion.transform_observations
-        monkeypatch.setattr(diffusion, "transform_observations", lambda spec, obs, theta: tuple(
-            x / math.sqrt(2.0) for x in transform(spec, obs, theta)))
+
+        def halved(spec, obs, thetas):
+            x, log_jac = transform(spec, obs, thetas)
+            return x / math.sqrt(2.0), log_jac
+
+        monkeypatch.setattr(diffusion, "transform_observations", halved)
         assert not outcome()
 
 
@@ -554,8 +632,7 @@ class TestBridgeMCBits:
             0.0, -0.07999645062542717, -0.25115136954896616, -0.14917656666505114,
             -0.23653757116500063, -0.5503740908761233, -0.5469797297841523,
             -0.21039488908764858, 0.0]
-        segments = sample_bridge_set((0.0, 0.5, 1.25), 4, seed=6).segments
-        assert [seg.values.tolist() for seg in segments] == [
+        assert sample_bridge_set((0.0, 0.5, 1.25), 4, seed=6).values.tolist() == [
             [0.0, 0.36010410378208835, 0.9759600857021532, 0.061006557137644, 0.0],
             [0.0, -0.44094832738721385, -0.28586686018356156, 0.30169511165747676, 0.0]]
 
@@ -569,14 +646,14 @@ class TestBridgeMCBits:
         _, curve = mle_theta(spec, obs, grid, n, frac, seed=seed)
         want = []
         for theta in grid:
-            x = transform_observations(spec, obs, theta)
+            [x], _ = transform_observations(spec, obs, (theta,))
             loglik = 0.0
             for i in range(obs.n_intervals):
                 t = obs.times[i + 1] - obs.times[i]
                 est, _ = transition_density_mc(spec, theta, t, x[i], x[i + 1], n, t * frac,
                                                seed=[seed, i])
                 loglik += math.log(est)
-                loglik += math.log(lamperti_derivative(spec, obs.values[i + 1], theta))
+                loglik += math.log(1.0 / spec.sigma(obs.values[i + 1], theta))
             want.append(loglik)
         assert curve == want
 
