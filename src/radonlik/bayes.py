@@ -62,8 +62,8 @@ class Prior:
                    pdf=functools.partial(np.interp, xp=grid, fp=density / mass))
 
     @classmethod
-    def uniform_grid(cls, nodes: int = GRID_PRIOR_NODES) -> "Prior":
-        return cls.from_grid(np.linspace(0.0, 1.0, nodes), np.ones(nodes))
+    def uniform_grid(cls) -> "Prior":
+        return cls.from_grid(np.linspace(0.0, 1.0, GRID_PRIOR_NODES), np.ones(GRID_PRIOR_NODES))
 
     @classmethod
     def beta(cls, a: float, b: float) -> "Prior":
@@ -199,7 +199,7 @@ def predictive_measure(family: ModelFamily, measure_id: str, prior: Prior,
 
 
 def predictive_invariance(lambdas: Sequence[PredictiveMeasure], atom_sets: Sequence[Sequence],
-                          tol: float = 1e-8) -> bool:
+                          tol: float) -> bool:
     """Set masses of the predictive measure agree across base choices: one
     `PredictiveMeasure` per base, so the caller's memos are shared."""
     for atoms in atom_sets:

@@ -70,18 +70,26 @@ class ObservationSet:
 
 
 def observations_from_csv(path) -> ObservationSet:
-    """Read (t, y) rows; a leading header row is tolerated."""
+    """Read (t, y) rows. Empty rows are skipped and the first non-empty row
+    may be a header; any other row that is not two floats raises ValueError
+    naming its line."""
     times, values = [], []
+    header_allowed = True
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             try:
-                t, y = float(row[0]), float(row[1])
+                t, y = map(float, row)
             except ValueError:
-                continue  # header
-            times.append(t)
-            values.append(y)
+                if not header_allowed:
+                    raise ValueError(f"{path}, line {reader.line_num}: expected two "
+                                     f"floats t,y, got {row!r}") from None
+            else:
+                times.append(t)
+                values.append(y)
+            header_allowed = False
     return ObservationSet(times=tuple(times), values=tuple(values))
 
 
@@ -307,7 +315,7 @@ def _bridge_controls(bridge: np.ndarray, frac: np.ndarray, dt: float, out: np.nd
 
 
 def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicates: int,
-                        seed, chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sums over the replicates of the drift-correction weight w and of the
     controls c of `_bridge_controls`: (w_sums, c_sums, c_cross), where row k
     of w_sums holds the sums of w, w^2 and w c for theta k, c_sums the sums
@@ -318,7 +326,7 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     `ends` holds (theta, x0, x1) triples. Every theta is weighed against the
     same pinned Brownian bridges, drawn once from `seed`; a theta's result
     is the one a separate run with that seed gives. The controls do not
-    depend on theta, so their sums are taken once. Each chunk of `chunk`
+    depend on theta, so their sums are taken once. Each chunk of `_CHUNK_ROWS`
     rows goes through the pipeline in row blocks with preallocated buffers:
     draw, scale, cumsum, pin, the controls, `_drift_corrections` for every
     theta, and the weights of all thetas at once. Sums are taken per chunk
@@ -339,9 +347,10 @@ def _bridge_weight_sums(spec: SDESpec, ends: tuple, t: float, m: int, n_replicat
     shifts = np.array([[spec.drift_integral_fn(x1, th) - spec.drift_integral_fn(x0, th)]
                        for th, x0, x1 in ends])
     p = 3 if m >= 3 else 0
-    width = min(chunk, n_replicates)
+    width = min(_CHUNK_ROWS, n_replicates)
     block = max(1, min(width, _BLOCK_BYTES // (8 * (m + 1))))
-    chunks = [min(chunk, n_replicates - done) for done in range(0, n_replicates, chunk)]
+    chunks = [min(_CHUNK_ROWS, n_replicates - done)
+              for done in range(0, n_replicates, _CHUNK_ROWS)]
     sizes = [min(block, rows - lo) for rows in chunks for lo in range(0, rows, block)]
     walks = [np.empty((block, m)) for _ in range(min(2, len(sizes)))]
     bridge = np.empty((block, m + 1))
@@ -413,8 +422,7 @@ def _density_from_sums(w_sums: np.ndarray, c_sums: np.ndarray, c_cross: np.ndarr
 
 
 def transition_density_mc(spec: SDESpec, theta, t: float, x0: float, x1: float,
-                          n_replicates: int, step: float, seed,
-                          chunk: int = _CHUNK_ROWS) -> tuple[float, float]:
+                          n_replicates: int, step: float, seed) -> tuple[float, float]:
     """Transition density of the unit-diffusion process by bridge sampling.
 
     Returns (estimate, standard error). The estimate is the free Gaussian
@@ -426,7 +434,7 @@ def transition_density_mc(spec: SDESpec, theta, t: float, x0: float, x1: float,
     """
     m = _mc_steps(t, step, n_replicates)
     [w_sums], c_sums, c_cross = _bridge_weight_sums(spec, ((theta, x0, x1),), t, m,
-                                                    n_replicates, seed, chunk)
+                                                    n_replicates, seed)
     return _density_from_sums(w_sums, c_sums, c_cross, n_replicates, t, x0, x1)
 
 
@@ -453,7 +461,7 @@ def mle_theta(spec: SDESpec, obs: ObservationSet, theta_grid: Sequence,
         m = _mc_steps(dt_i, dt_i * step_fraction, n_replicates)
         ends = tuple((theta_grid[k], x[k, i], x[k, i + 1]) for k in live)
         w_sums, c_sums, c_cross = _bridge_weight_sums(spec, ends, dt_i, m, n_replicates,
-                                                      _interval_seed(seed, i), _CHUNK_ROWS)
+                                                      _interval_seed(seed, i))
         for k, (_, x0, x1), row in zip(live, ends, w_sums):
             est, _ = _density_from_sums(row, c_sums, c_cross, n_replicates, dt_i, x0, x1)
             if est <= 0.0:

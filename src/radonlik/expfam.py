@@ -146,9 +146,8 @@ def tilt_to_lambda(fam: ExponentialFamily) -> ExponentialFamily:
         weights = tuple(w * fam.carrier(a) for a, w in zip(fam.base.atoms, fam.base.atom_weights))
         tilted_base = DominatingMeasure.counting("lambda-tilt", fam.base.atoms, weights)
     else:
-        tilted_base = DominatingMeasure(id="lambda-tilt", kind=fam.base.kind,
-                                        region=fam.base.region,
-                                        lebesgue_scale=fam.base.lebesgue_scale)
+        tilted_base = DominatingMeasure.lebesgue("lambda-tilt", fam.base.region,
+                                                 scale=fam.base.lebesgue_scale)
     return _with_carrier(fam, f"{fam.name}-lambda-tilt", lambda omega: 1.0, tilted_base)
 
 
@@ -227,11 +226,10 @@ def iid_family(fam: ExponentialFamily, n: int) -> ExponentialFamily:
                              closed_form_logpart=logpart, log_carrier_fn=log_carrier)
 
 
-def as_model_family(base_fam: ExponentialFamily, *named_variants: tuple[str, ExponentialFamily],
-                    sample_space: SampleSpace | None = None) -> ModelFamily:
+def as_model_family(base_fam: ExponentialFamily,
+                    *named_variants: tuple[str, ExponentialFamily]) -> ModelFamily:
     """Bundle a base family and re-expressed variants into one ModelFamily."""
-    space = sample_space if sample_space is not None else SampleSpace(label=base_fam.name)
-    model = ModelFamily(base_fam.theta_grid, space)
+    model = ModelFamily(base_fam.theta_grid, SampleSpace(label=base_fam.name))
     for measure_id, variant in (("base", base_fam), *named_variants):
         model.register_kernel(measure_id, lambda ths, w, _v=variant: log_densities(_v, ths, w))
     return model
@@ -253,43 +251,29 @@ def bernoulli_family(theta_grid: Sequence[float]) -> ExponentialFamily:
     )
 
 
-def poisson_family(theta_grid: Sequence[float], truncation: int | None = None) -> ExponentialFamily:
-    """Poisson with eta = log(theta), T = x, h = 1/x!; optionally truncated."""
-    k = truncation if truncation is not None else 170
-    base = DominatingMeasure.counting(f"counting-0..{k}", tuple(range(k + 1)))
-    closed = None
-    if truncation is None:
-        closed = lambda th: float(th)
-
-    def carrier(x):
-        if truncation is not None and x > truncation:
-            return 0.0
-        return math.exp(-math.lgamma(x + 1))
-
+def poisson_family(theta_grid: Sequence[float]) -> ExponentialFamily:
+    """Poisson with eta = log(theta), T = x, h = 1/x! on the counts 0..170."""
     return ExponentialFamily(
-        name="poisson" if truncation is None else f"poisson-trunc{truncation}",
+        name="poisson",
         natural_param=lambda th: np.array([math.log(th)]),
         sufficient_stat=lambda x: np.array([float(x)]),
-        carrier=carrier,
-        base=base,
+        carrier=lambda x: math.exp(-math.lgamma(x + 1)),
+        base=DominatingMeasure.counting("counting-0..170", tuple(range(171))),
         theta_grid=tuple(theta_grid),
-        closed_form_logpart=closed,
+        closed_form_logpart=lambda th: float(th),
     )
 
 
-def gaussian_known_var_family(theta_grid: Sequence[float], sigma: float = 1.0,
-                              halfwidth: float = 40.0) -> ExponentialFamily:
-    """Gaussian mean family with known variance on a wide bounded window."""
-    s2 = sigma * sigma
-    base = DominatingMeasure.lebesgue("lebesgue-window", (-halfwidth, halfwidth))
+def gaussian_known_var_family(theta_grid: Sequence[float]) -> ExponentialFamily:
+    """Gaussian mean family with unit variance on the window [-40, 40]."""
     return ExponentialFamily(
         name="gaussian-known-var",
-        natural_param=lambda th: np.array([th / s2]),
+        natural_param=lambda th: np.array([float(th)]),
         sufficient_stat=lambda x: np.array([float(x)]),
-        carrier=lambda x: math.exp(-x * x / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2),
-        base=base,
+        carrier=lambda x: math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
+        base=DominatingMeasure.lebesgue("lebesgue-window", (-40.0, 40.0)),
         theta_grid=tuple(theta_grid),
-        closed_form_logpart=lambda th: th * th / (2.0 * s2),
+        closed_form_logpart=lambda th: th * th / 2.0,
     )
 
 

@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (overrides RADONLIK_OUT and config)")
     parser.add_argument("--tol", type=float, default=None, metavar="FLOAT",
-                        help="proportionality tolerance (default 1e-8)")
+                        help="override the config's proportionality tolerance")
     return parser
 
 

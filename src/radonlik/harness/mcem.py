@@ -24,6 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import ks_2samp
 
+# The tilted run stops when its effective sample size falls below this
+# fraction of the draws.
+MIN_ESS_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class MCEMResult:
@@ -67,15 +71,14 @@ def _mean_and_se(draws: np.ndarray, weights: np.ndarray | None = None) -> tuple[
     return mean, float(math.sqrt(np.sum(weights ** 2 * (draws - mean) ** 2)))
 
 
-def mcem_missing_data(omega1: float, rho: float = 0.5, mc_size: int = 10000,
-                      iterations: int = 20, tilt: str = "gaussian", tilt_tau: float = 2.0,
-                      seed: int = 0, theta_init: float = 0.0,
-                      min_ess_fraction: float = 0.1) -> MCEMResult:
+def mcem_missing_data(omega1: float, rho: float, mc_size: int, iterations: int,
+                      tilt: str, tilt_tau: float, seed: int) -> MCEMResult:
     """Run MC-EM under both dominating measures and compare the MLEs.
 
-    The M-step is closed form: theta maximizing the expected complete log
-    density is (omega1 + E[omega2]) / 2. Reported standard errors inflate the
-    last E-step error by the stationary factor of the EM recursion.
+    Both runs start at theta = 0. The M-step is closed form: theta maximizing
+    the expected complete log density is (omega1 + E[omega2]) / 2. Reported
+    standard errors inflate the last E-step error by the stationary factor of
+    the EM recursion.
 
     Both E-steps go through ``_mean_and_se`` on draws built from the same
     per-iteration normals. With ``tilt="identity"`` the tilted run uses uniform
@@ -92,11 +95,10 @@ def mcem_missing_data(omega1: float, rho: float = 0.5, mc_size: int = 10000,
     def cond_mean(theta: float) -> float:
         return theta + rho * (omega1 - theta)
 
-    theta1 = theta_init
-    theta2 = theta_init
+    theta1 = theta2 = 0.0
     se1 = se2 = 0.0
     ess_fraction = 1.0
-    draws1 = draws2 = np.asarray([theta_init])
+    draws1 = draws2 = np.asarray([0.0])
     for k in range(iterations):
         z = np.random.default_rng([int(seed), k]).standard_normal(mc_size)
 
@@ -119,10 +121,10 @@ def mcem_missing_data(omega1: float, rho: float = 0.5, mc_size: int = 10000,
             w = np.exp(logw)
             weights = w / w.sum()
             ess_fraction = float(1.0 / np.sum(weights ** 2) / mc_size)
-        if ess_fraction < min_ess_fraction:
+        if ess_fraction < MIN_ESS_FRACTION:
             raise RuntimeError(
                 f"importance degeneracy: effective sample size fraction {ess_fraction:.3f} "
-                f"below {min_ess_fraction}")
+                f"below {MIN_ESS_FRACTION}")
         mean2, se2 = _mean_and_se(draws2, weights)
         theta2 = 0.5 * (omega1 + mean2)
 

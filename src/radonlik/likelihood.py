@@ -121,17 +121,16 @@ def eval_log_density(family: ModelFamily, measure_id: str, theta, omega) -> floa
     return float(family.log_kernel(measure_id, (theta,), omega)[0])
 
 
-def likelihood_curve(family: ModelFamily, measure_id: str, omega,
-                     observation_id: str = "obs") -> LogLikelihoodCurve:
+def likelihood_curve(family: ModelFamily, measure_id: str, omega) -> LogLikelihoodCurve:
     """The kernel over the whole grid at omega, in one kernel call."""
     _check_in_sample_space(family, omega)
     values = family.log_kernel(measure_id, family.theta_grid, omega)
-    return LogLikelihoodCurve(measure_id=measure_id, observation_id=observation_id,
+    return LogLikelihoodCurve(measure_id=measure_id, observation_id="obs",
                               thetas=family.theta_grid, values=tuple(values.tolist()))
 
 
 def check_proportionality(curve1: LogLikelihoodCurve, curve2: LogLikelihoodCurve,
-                          tol: float = 1e-8) -> ProportionalityReport:
+                          tol: float) -> ProportionalityReport:
     """Do the two curves differ by a parameter-free constant?
 
     The log-ratio is taken over grid points where both curves are finite and
@@ -223,9 +222,10 @@ def neighborhood_density_limit(family: ModelFamily, measure: DominatingMeasure, 
     return ratios
 
 
-def finite_family(atoms: Sequence, mass_rows: Sequence[Sequence[float]], theta_grid: Sequence,
-                  measure_id: str = "counting") -> ModelFamily:
-    """Finite discrete family from a (grid x atoms) probability mass table."""
+def finite_family(atoms: Sequence, mass_rows: Sequence[Sequence[float]],
+                  theta_grid: Sequence) -> ModelFamily:
+    """Finite discrete family from a (grid x atoms) probability mass table,
+    its kernel registered under "counting"."""
     atoms = tuple(atoms)
     if len(mass_rows) != len(theta_grid):
         raise ValueError(f"{len(mass_rows)} mass rows for {len(theta_grid)} grid values")
@@ -241,6 +241,6 @@ def finite_family(atoms: Sequence, mass_rows: Sequence[Sequence[float]], theta_g
             raise ValueError(f"masses for theta {theta!r} sum to {total}, not 1")
         log_table[theta] = {a: math.log(p) if p > 0 else NEG_INF for a, p in zip(atoms, row)}
     family = ModelFamily(theta_grid, SampleSpace(label="atoms", atoms=atoms))
-    family.register_kernel(measure_id,
+    family.register_kernel("counting",
                            lambda thetas, omega: [log_table[th][omega] for th in thetas])
     return family

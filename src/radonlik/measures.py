@@ -14,26 +14,23 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
-MEASURE_KINDS = ("counting", "lebesgue", "counting_lebesgue_sum")
-
 
 @dataclass(frozen=True)
 class DominatingMeasure:
     """A named base measure: weighted atoms, a scaled Lebesgue region, or both.
 
-    Every kind evaluates atom masses and closed-ball masses.
+    Every kind evaluates atom masses and closed-ball masses. The kind is read
+    off the payload, so it cannot contradict it: no region is counting, a
+    region alone is lebesgue, a region and atoms is counting_lebesgue_sum.
     """
 
     id: str
-    kind: str
     atoms: tuple = ()
     atom_weights: tuple = ()
     region: tuple[float, float] | None = None
     lebesgue_scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in MEASURE_KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("counting atoms must be distinct")
         if self.atoms and not self.atom_weights:
@@ -49,21 +46,27 @@ class DominatingMeasure:
         if not (math.isfinite(self.lebesgue_scale) and self.lebesgue_scale > 0):
             raise ValueError("lebesgue_scale must be finite and positive")
 
+    @property
+    def kind(self) -> str:
+        if self.region is None:
+            return "counting"
+        return "counting_lebesgue_sum" if self.atoms else "lebesgue"
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def counting(cls, id: str, atoms: Sequence, weights: Sequence[float] | None = None):
-        return cls(id=id, kind="counting", atoms=tuple(atoms),
+        return cls(id=id, atoms=tuple(atoms),
                    atom_weights=tuple(weights) if weights is not None else ())
 
     @classmethod
     def lebesgue(cls, id: str, region: tuple[float, float], scale: float = 1.0):
-        return cls(id=id, kind="lebesgue", region=region, lebesgue_scale=scale)
+        return cls(id=id, region=region, lebesgue_scale=scale)
 
     @classmethod
     def counting_lebesgue_sum(cls, id: str, atoms: Sequence, region: tuple[float, float],
                               scale: float = 1.0, weights: Sequence[float] | None = None):
-        return cls(id=id, kind="counting_lebesgue_sum", atoms=tuple(atoms),
+        return cls(id=id, atoms=tuple(atoms),
                    atom_weights=tuple(weights) if weights is not None else (),
                    region=region, lebesgue_scale=scale)
 
@@ -117,11 +120,11 @@ class MixtureMeasure:
         return self.atom_masses.get(atom, 0.0)
 
 
-def build_minimal_dominating_measure(family, selected_thetas, measure_id: str = "counting") -> MixtureMeasure:
+def build_minimal_dominating_measure(family, selected_thetas) -> MixtureMeasure:
     """Uniform-weight mixture of the selected family members.
 
     The family must live on a finite atom space and carry a unit-weight
-    counting kernel under `measure_id`, so kernel values are atom masses.
+    counting kernel under the id "counting", so kernel values are atom masses.
     """
     selected = tuple(selected_thetas)
     if not selected:
@@ -138,19 +141,20 @@ def build_minimal_dominating_measure(family, selected_thetas, measure_id: str = 
     masses = {}
     for atom in atoms:
         masses[atom] = sum(w * math.exp(v) for w, v in
-                           zip(weights, family.log_kernel(measure_id, selected, atom)))
+                           zip(weights, family.log_kernel("counting", selected, atom)))
     return MixtureMeasure(weights=weights, thetas=selected, atom_masses=masses)
 
 
-def verify_dominance(candidate, family, measure_id: str = "counting") -> bool:
-    """True iff every atom the candidate misses is null under every grid theta."""
+def verify_dominance(candidate, family) -> bool:
+    """True iff every atom the candidate misses is null under every grid theta
+    of the family's "counting" kernel."""
     atoms = getattr(family.sample_space, "atoms", None)
     if not atoms:
         raise ValueError("dominance check requires a finite atom space")
     for atom in atoms:
         if candidate.atom_mass(atom) > 0.0:
             continue
-        if any(math.exp(v) > 0.0 for v in family.log_kernel(measure_id, family.theta_grid, atom)):
+        if any(math.exp(v) > 0.0 for v in family.log_kernel("counting", family.theta_grid, atom)):
             return False
     return True
 

@@ -131,11 +131,6 @@ class PointMassMixture:
                 return p
         return 0.0
 
-    def cdf(self, y: float) -> float:
-        value = sum(p for a, p in self.atoms if a <= y)
-        value += sum(q * float(c.cdf(y)) for q, c in self.components)
-        return value
-
     def interval_mass(self, lo: float, hi: float) -> float:
         """Probability of the closed interval [lo, hi]."""
         mass = sum(p for a, p in self.atoms if lo <= a <= hi)
@@ -249,13 +244,14 @@ def grid_mle(mixes: Sequence[PointMassMixture], theta_grid: Sequence[float],
     return argmax_indices(LogLikelihoodCurve(variant, "sample", tuple(theta_grid), values))
 
 
-def mixture_total_mass(mix: PointMassMixture, tail_cap: float = 60.0) -> float:
+def mixture_total_mass(mix: PointMassMixture) -> float:
     """Atom masses plus quadrature of the continuous part of the correct
-    density; unbounded regions are capped where the tail is negligible."""
+    density; a region reaches at most 60 past its lower end, where the tail
+    of every catalog component is negligible."""
     mass = sum(p for _, p in mix.atoms)
     for q, comp in mix.components:
         lo, hi = comp.region
-        hi_eff = min(hi, lo + tail_cap)
+        hi_eff = min(hi, lo + 60.0)
         inner_atoms = [a for a in mix.atom_points if lo < a < hi_eff]
         value, _ = quad(lambda y, c=comp: float(c.density(y)), lo, hi_eff,
                         points=inner_atoms or None, epsabs=1e-10, limit=200)

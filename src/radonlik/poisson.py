@@ -264,20 +264,19 @@ def loglinear_intensity(theta_grid: Sequence[tuple], region=((0.0, 1.0),)) -> In
                           rate=rate, cumulative=cumulative, max_rate=max_rate)
 
 
-def sinusoidal_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),),
-                         wobble: float = 0.5) -> IntensityModel:
-    """lambda(s) = c (1 + wobble sin(2 pi s)) on a 1-D region, theta = c."""
+def sinusoidal_intensity(theta_grid: Sequence[float], region=((0.0, 1.0),)) -> IntensityModel:
+    """lambda(s) = c (1 + sin(2 pi s) / 2) on a 1-D region, theta = c."""
     (lo, hi), = tuple(tuple(side) for side in region)
     two_pi = 2.0 * math.pi
 
     def cumulative(c):
-        return c * ((hi - lo) + wobble * (math.cos(two_pi * lo) - math.cos(two_pi * hi)) / two_pi)
+        return c * ((hi - lo) + 0.5 * (math.cos(two_pi * lo) - math.cos(two_pi * hi)) / two_pi)
 
     return IntensityModel(name="sinusoidal", region=((lo, hi),), theta_grid=tuple(theta_grid),
                           rate=lambda cs, x: (np.asarray(cs, dtype=float)[:, None]
-                                              * (1.0 + wobble * np.sin(two_pi * x[:, 0]))),
+                                              * (1.0 + 0.5 * np.sin(two_pi * x[:, 0]))),
                           cumulative=cumulative,
-                          max_rate=lambda c: float(c) * (1.0 + abs(wobble)) + 1e-9)
+                          max_rate=lambda c: float(c) * 1.5 + 1e-9)
 
 
 INTENSITY_CATALOG = {

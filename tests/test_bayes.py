@@ -69,7 +69,7 @@ class TestPrior:
         lambda: posterior(_constant_family(math.nan), "counting", Prior.beta(2.0, 3.0), 0),
         lambda: posterior(_constant_family(math.inf), "counting", Prior.point_mass(0.5), 0),
         lambda: marginal_density(_constant_family(math.nan), "counting",
-                                 Prior.uniform_grid(nodes=1025), 0),
+                                 Prior.uniform_grid(), 0),
     ], ids=["nan-density", "inf-density", "unsorted-grid", "repeated-node", "nan-node",
             "inf-node", "one-node", "negative-simpson-weight", "nan-a", "inf-b",
             "overflowing-rule-2000-3", "overflowing-rule-1e4-1", "overflowing-rule-5e5-1",
@@ -207,7 +207,7 @@ class TestPosterior:
         assert np.max(np.abs(lebesgue - exact)) <= 1e-8
 
     @pytest.mark.parametrize("prior,passes", [
-        (Prior.uniform_grid(nodes=1025), ["nodes"]),
+        (Prior.uniform_grid(), ["nodes"]),
         (Prior.point_mass(0.3), ["nodes"]),
         (Prior.beta(2.0, 3.0), ["nodes", "thetas"]),
     ], ids=["grid", "point", "beta"])
@@ -274,7 +274,7 @@ class TestPredictiveMeasure:
             return original(fam, mid, prior, x)
 
         monkeypatch.setattr("radonlik.bayes.marginal_density", counting)
-        lam = predictive_measure(family, "counting", Prior.uniform_grid(nodes=1025),
+        lam = predictive_measure(family, "counting", Prior.uniform_grid(),
                                  measures["counting"])
         first = lam.set_mass((0, 1, 2))
         assert lam.set_mass(tuple(range(5))) == pytest.approx(1.0, abs=1e-6)

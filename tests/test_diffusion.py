@@ -605,21 +605,27 @@ class TestBridgeMCBits:
                            (0.45420737535828, 0.00032044037648620144)),
         "logistic": ((logistic_spec(), 0.9, 0.6, 0.1, 0.4, 5000, 0.002), dict(seed=8),
                      (0.42790222365355146, 9.466095268323925e-05)),
+        # 100-row chunks: `estimate` patches `diffusion._CHUNK_ROWS`
         "small-chunk": ((brownian_drift_spec(), 0.7, 1.0, 0.0, 1.0, 250, 0.01),
-                        dict(seed=9, chunk=100), (0.38138781546052397, 3.289882295849175e-10)),
+                        dict(seed=9), (0.38138781546052397, 3.289882295849175e-10)),
     }
+
+    def estimate(self, name):
+        args, kwargs, _ = self.GOLDEN[name]
+        with pytest.MonkeyPatch.context() as patch:
+            if name == "small-chunk":
+                patch.setattr(diffusion, "_CHUNK_ROWS", 100)
+            return transition_density_mc(*args, **kwargs)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_values(self, name):
-        args, kwargs, want = self.GOLDEN[name]
-        assert transition_density_mc(*args, **kwargs) == want
+        assert self.estimate(name) == self.GOLDEN[name][2]
 
     @pytest.mark.parametrize("block_bytes", [8, 3 * 8 * 1001, 2 ** 19, 2 ** 30])
     def test_block_size_does_not_change_bits(self, monkeypatch, block_bytes):
         monkeypatch.setattr(diffusion, "_BLOCK_BYTES", block_bytes)
         for name in ("ragged-fine", "ragged-coarse", "small-chunk"):
-            args, kwargs, want = self.GOLDEN[name]
-            assert transition_density_mc(*args, **kwargs) == want
+            assert self.estimate(name) == self.GOLDEN[name][2]
 
     def test_golden_mle_curve(self):
         obs = simulate_ou(1.0, 0.0, tuple(np.linspace(0.0, 2.5, 6)), 3)
@@ -807,3 +813,21 @@ class TestObservationIO:
         path.write_text("t,y\n0.0,0.1\n0.5,nan\n1.0,0.3\n")
         with pytest.raises(ValueError, match="finite"):
             observations_from_csv(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("t,y\n0.0,0.1\n0.5,abc\n1.0,0.3\n", 3),
+        ("t,y\n0.0,0.1\n0.5\n1.0,0.3\n", 3),
+        ("0.0,0.1\nt,y\n1.0,0.3\n", 2),               # only the first row may be a header
+        ("t,y\n\n0.0,0.1\n0.5,0.2,0.9\n", 4),        # blank lines count in line numbers
+    ], ids=["bad-middle-row", "short-row", "late-header", "long-row"])
+    def test_bad_csv_row_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            observations_from_csv(path)
+
+    def test_csv_without_header(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("0.0,0.1\n\n0.5,0.2\n")
+        back = observations_from_csv(path)
+        assert back.times == (0.0, 0.5) and back.values == (0.1, 0.2)

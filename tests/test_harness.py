@@ -148,28 +148,33 @@ class TestReportJson:
 
 
 class TestMCEM:
+    @staticmethod
+    def run(seed, **changes):
+        """`mcem_missing_data` on the config's mcem block, with `changes`."""
+        return mcem_missing_data(**{**load_config()["mcem"], **changes}, seed=seed)
+
     def test_identity_tilt_runs_identical(self):
-        result = mcem_missing_data(omega1=1.3, tilt="identity", seed=5)
+        result = self.run(5, tilt="identity")
         assert result.theta_lebesgue == result.theta_tilted
         assert result.ks_distance == 0.0
 
     def test_zero_iterations_return_initialization(self):
-        result = mcem_missing_data(omega1=1.3, iterations=0, theta_init=0.7, seed=5)
-        assert result.theta_lebesgue == 0.7 and result.theta_tilted == 0.7
+        result = self.run(5, iterations=0)
+        assert result.theta_lebesgue == 0.0 and result.theta_tilted == 0.0
 
     def test_agreement_with_closed_form(self):
-        result = mcem_missing_data(omega1=1.3, seed=20260810)
+        result = self.run(20260810)
         assert abs(result.theta_lebesgue - 1.3) <= 3.0 * result.se_lebesgue
         assert abs(result.theta_tilted - 1.3) <= 3.0 * result.se_tilted
         assert result.difference <= 2.0 * result.combined_se
 
     def test_importance_degeneracy_detected(self):
         with pytest.raises(RuntimeError, match="degeneracy"):
-            mcem_missing_data(omega1=1.3, tilt_tau=0.05, seed=5)
+            self.run(5, tilt_tau=0.05)
 
     def test_mc_size_floor(self):
         with pytest.raises(ValueError):
-            mcem_missing_data(omega1=1.3, mc_size=50, seed=5)
+            self.run(5, mc_size=50)
 
 
 class TestRunExperiment:

@@ -48,12 +48,31 @@ class TestDominatingMeasure:
         with pytest.raises(ValueError, match="lebesgue_scale"):
             DominatingMeasure.lebesgue("l", (0.0, 1.0), scale=scale)
 
+    @pytest.mark.parametrize("measure, kind", [
+        (DominatingMeasure.counting("c", (0, 1)), "counting"),
+        (DominatingMeasure.counting("c", ()), "counting"),
+        (DominatingMeasure.lebesgue("l", (0.0, 1.0), scale=2.0), "lebesgue"),
+        (DominatingMeasure.counting_lebesgue_sum("s", (0.0,), (-1.0, 1.0)),
+         "counting_lebesgue_sum"),
+    ], ids=["counting", "empty-counting", "lebesgue", "sum"])
+    def test_kind_matches_payload(self, measure, kind):
+        assert measure.kind == kind
+
     @pytest.mark.parametrize("kind", ["product", "unit_poisson_law",
-                                      "gaussian_bridge_product", "predictive"])
-    def test_name_only_kinds_rejected(self, kind):
-        # structured spaces key their kernels by plain string ids instead
-        with pytest.raises(ValueError, match="unknown measure kind"):
+                                      "gaussian_bridge_product", "predictive", "lebesgue"])
+    def test_kind_argument_rejected(self, kind):
+        # the kind is read off the payload; structured spaces key their
+        # kernels by plain string ids instead
+        with pytest.raises(TypeError):
             DominatingMeasure(id="x", kind=kind)
+
+    def test_contradictory_kind_cannot_be_built(self):
+        # a Lebesgue measure holding an atom would count it in its ball masses
+        with pytest.raises(TypeError):
+            DominatingMeasure(id="x", kind="lebesgue", atoms=(0.0,), region=(0.0, 1.0))
+        nu = DominatingMeasure(id="x", atoms=(0.0,), region=(0.0, 1.0))
+        assert nu.kind == "counting_lebesgue_sum"
+        assert nu.ball_mass(0.0, 0.1) == pytest.approx(1.1)
 
 
 class TestMinimalDominatingMixture:

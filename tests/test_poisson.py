@@ -145,7 +145,7 @@ class TestKernelGap:
         # rate over the region is the cross-check, for every catalog intensity
         models = [constant_intensity((0.5, 4.0), ((0.0, 1.5),)),
                   loglinear_intensity(((0.3, 0.8), (1.0, -0.6), (0.2, 0.0)), ((0.2, 1.7),)),
-                  sinusoidal_intensity((0.5, 4.0), ((0.1, 1.4),), wobble=0.7)]
+                  sinusoidal_intensity((0.5, 4.0), ((0.1, 1.4),))]
         for model in models:
             (lo, hi), = model.region
             for theta in model.theta_grid:
