@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
-from scipy.stats import beta as beta_dist
+from scipy.special import betaln, roots_jacobi, xlog1py, xlogy
 
 from .likelihood import ModelFamily, SampleSpace, likelihood_curve
 from .measures import DominatingMeasure
@@ -30,6 +29,14 @@ ZERO_SET_EPS = 1e-12
 class LikelihoodVanishesError(ValueError):
     """Marginal density is zero at x: the likelihood vanishes almost
     everywhere under the prior, so no posterior density exists."""
+
+
+def beta_pdf(x, a: float, b: float):
+    """Beta(a, b) density: exactly 0 off [0, 1], NaN at NaN, +inf at an end whose
+    exponent is negative. It rounds apart from scipy.stats.beta.pdf by some ulp."""
+    x = np.asarray(x, dtype=float)
+    pdf = np.exp(xlogy(a - 1, x) + xlog1py(b - 1, -x) - betaln(a, b))
+    return np.where((x < 0) | (x > 1), 0.0, pdf)[()]
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class Prior:
                              "its weights overflow")
         return cls(kind="beta", nodes=(1.0 + x) / 2.0, weights=weights,
                    thetas=np.linspace(0.0, 1.0, 1025),
-                   pdf=functools.partial(beta_dist.pdf, a=a, b=b))
+                   pdf=functools.partial(beta_pdf, a=a, b=b))
 
     @classmethod
     def point_mass(cls, theta0: float) -> "Prior":

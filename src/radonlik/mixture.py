@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .likelihood import NEG_INF, LogLikelihoodCurve, ModelFamily, SampleSpace, argmax_indices
 
@@ -72,23 +72,23 @@ class TruncatedGaussian(Component):
     sigma: float = 1.0
 
     def _z(self):
-        lo, hi = self.region
-        a = norm.cdf((lo - self.mu) / self.sigma)
-        b = norm.cdf((hi - self.mu) / self.sigma)
+        a, b = ndtr((np.asarray(self.region) - self.mu) / self.sigma)
         return a, b - a
 
     def density(self, y):
         _, z = self._z()
-        return norm.pdf((np.asarray(y, dtype=float) - self.mu) / self.sigma) / (self.sigma * z)
+        x = (np.asarray(y, dtype=float) - self.mu) / self.sigma
+        # the standard normal pdf in the operation order of scipy.stats.norm.pdf
+        return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi) / (self.sigma * z)
 
     def cdf(self, y):
         a, z = self._z()
-        return np.clip((norm.cdf((np.asarray(y, dtype=float) - self.mu) / self.sigma) - a) / z, 0.0, 1.0)
+        return np.clip((ndtr((np.asarray(y, dtype=float) - self.mu) / self.sigma) - a) / z, 0.0, 1.0)
 
     def sample(self, rng, size):
         a, z = self._z()
         u = rng.uniform(size=size)
-        return self.mu + self.sigma * norm.ppf(a + u * z)
+        return self.mu + self.sigma * ndtri(a + u * z)
 
 
 COMPONENT_CATALOG = {

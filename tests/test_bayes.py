@@ -13,8 +13,8 @@ from radonlik import ModelFamily, SampleSpace, finite_family
 from radonlik.harness.config import load_config
 from radonlik.harness.experiments import run_bayes
 from radonlik.bayes import (GRID_PRIOR_NODES, DominatingMeasure, LikelihoodVanishesError, Prior,
-                            _simpson_weights, binomial_family, dominance_check, marginal_density,
-                            posterior, predictive_invariance, predictive_measure)
+                            _simpson_weights, beta_pdf, binomial_family, dominance_check,
+                            marginal_density, posterior, predictive_invariance, predictive_measure)
 
 
 def beta_binomial_closed(n, x, a, b):
@@ -89,6 +89,43 @@ class TestPrior:
         monkeypatch.setattr("radonlik.bayes.roots_jacobi",
                             lambda n, alpha, beta: roots_jacobi(n, beta, alpha))
         assert _worst_marginal_error(Prior.beta(2.0, 3.0), 2.0, 3.0) > 1e-8
+
+
+class TestBetaPdf:
+    """beta_pdf against scipy.stats.beta.pdf. The two round up to a few hundred
+    ulp apart: the largest gap on this grid is 335 ulp, at a = 1, b = 12.
+    Against a 40-digit reference with a, b up to 20, beta_pdf was off by at
+    most 111 ulp and scipy by 226."""
+
+    PARAMS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0)
+    MAX_ULP = 512
+
+    @pytest.mark.parametrize("a", PARAMS)
+    def test_within_ulp_bound_of_scipy(self, a):
+        x = np.linspace(0.0, 1.0, 1025)
+        for b in self.PARAMS:
+            got, want = beta_pdf(x, a, b), beta_dist.pdf(x, a, b)
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite])
+            assert np.array_equal(got == 0.0, want == 0.0)
+            ulps = np.abs(got[finite] - want[finite]) / np.spacing(want[finite])
+            assert ulps.max() <= self.MAX_ULP, (a, b)
+
+    def test_support_and_edges(self):
+        x = np.array([-0.5, 1.5, -np.inf, np.inf, np.nan])
+        got = beta_pdf(x, 2.0, 3.0)
+        assert np.array_equal(got[:4], np.zeros(4)) and np.isnan(got[4])
+        assert np.array_equal(got[:4], beta_dist.pdf(x[:4], 2.0, 3.0))
+        assert beta_pdf(0.0, 0.5, 2.0) == beta_dist.pdf(0.0, 0.5, 2.0) == np.inf
+        assert beta_pdf(1.0, 2.0, 0.5) == beta_dist.pdf(1.0, 2.0, 0.5) == np.inf
+        assert beta_pdf(0.0, 2.0, 3.0) == beta_pdf(1.0, 2.0, 3.0) == 0.0
+        assert beta_pdf(0.0, 1.0, 3.0) == pytest.approx(3.0, rel=1e-15)
+        assert np.ndim(beta_pdf(0.3, 2.0, 3.0)) == 0
+
+    def test_prior_density_is_beta_pdf(self):
+        x = np.array([-0.5, 0.0, 0.25, 1.0, 1.5, np.nan])
+        assert np.array_equal(Prior.beta(2.0, 3.0).density(x), beta_pdf(x, 2.0, 3.0),
+                              equal_nan=True)
 
 
 class TestSimpsonRule:

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from scipy.stats import ks_2samp
 
 from radonlik import LogLikelihoodCurve
 from radonlik.harness import (ConfigError, Report, emit_curves, load_config,
@@ -16,6 +21,7 @@ from radonlik.diffusion import SDE_CATALOG
 from radonlik.expfam import EXPFAM_CATALOG
 from radonlik.harness.cli import main
 from radonlik.harness.config import CONFIG_SCHEMA
+from radonlik.harness.mcem import _ks_distance
 from radonlik.mixture import COMPONENT_CATALOG
 from radonlik.poisson import INTENSITY_CATALOG
 
@@ -58,6 +64,23 @@ class TestConfig:
         assert props["expfam"]["properties"]["families"]["items"]["enum"] == list(EXPFAM_CATALOG)
         assert props["poisson"]["properties"]["intensity"]["enum"] == list(INTENSITY_CATALOG)
         assert props["diffusion"]["properties"]["sde"]["enum"] == list(SDE_CATALOG)
+
+    def test_mc_step_capped(self, tmp_path, capsys):
+        # at the default seed 1e-2 passes the MC oracle check at z 1.00, while
+        # 2e-2 fails it on the trapezoid bias at z 5.7
+        cfg = load_config()
+        cfg["diffusion"] = dict(cfg["diffusion"], mc_step=1e-2)
+        report = run_experiment("diffusion", cfg, tmp_path / "at-cap")
+        assert {c.name: c for c in report.checks}["mc-transition-vs-exact"].passed
+        path = tmp_path / "cfg.yaml"
+        path.write_text("diffusion:\n  mc_step: 0.01\n")
+        assert load_config(path)["diffusion"]["mc_step"] == 1e-2
+        path.write_text("diffusion:\n  mc_step: 0.02\n")
+        with pytest.raises(ConfigError, match="diffusion/mc_step"):
+            load_config(path)
+        assert main(["diffusion", "--config", str(path), "--out", str(tmp_path / "over")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -177,6 +200,42 @@ class TestMCEM:
             self.run(5, mc_size=50)
 
 
+class TestKSDistance:
+    """_ks_distance keeps the bits of scipy.stats.ks_2samp's statistic, on
+    both sides of the 10^4-draw boundary of its exact mode."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(24)
+        yield rng.standard_normal(50), rng.standard_normal(50)
+        yield rng.standard_normal(37), rng.standard_normal(91) + 0.3
+        yield rng.integers(0, 5, 200).astype(float), rng.integers(0, 6, 333).astype(float)
+        yield np.repeat([0.0, 1.0], 40), np.repeat([0.0, 1.0, 2.0], 13)
+        same = rng.standard_normal(64)
+        yield same, same[::-1].copy()
+        yield rng.standard_normal(7), rng.standard_normal(10000)
+        for n1, n2 in ((10000, 10000), (10000, 10001), (10001, 10001), (9999, 10000)):
+            yield rng.standard_normal(n1), rng.standard_normal(n2) + 0.02
+
+    def test_statistic_bits(self):
+        for x, y in self.pairs():
+            for a, b in ((x, y), (y, x)):
+                want = float(ks_2samp(a, b).statistic)
+                assert _ks_distance(a, b) == want, (len(a), len(b))
+
+    def test_snap_moves_the_last_bit(self):
+        # the largest ECDF gap as first computed is an ulp or more off the
+        # 1 / lcm grid; the exact mode's snap back onto it keeps scipy's bits
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(37), rng.standard_normal(91) + 0.3
+        both = np.concatenate([np.sort(x), np.sort(y)])
+        gaps = (np.searchsorted(np.sort(x), both, side="right") / 37
+                - np.searchsorted(np.sort(y), both, side="right") / 91)
+        want = float(ks_2samp(x, y).statistic)
+        assert max(gaps.max(), -gaps.min()) != want
+        assert _ks_distance(x, y) == want
+
+
 class TestRunExperiment:
     def test_writes_report_and_curves(self, tmp_path):
         cfg = load_config()
@@ -244,6 +303,20 @@ class TestCLI:
 
     def test_negative_tol_exit_two(self, tmp_path):
         assert main(["mcem", "--out", str(tmp_path), "--tol", "-1"]) == 2
+
+
+def test_all_runs_without_scipy_stats(tmp_path):
+    """`radonlik all` in a fresh process never imports scipy.stats, which only
+    the tests use, as an oracle."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from radonlik.harness.cli import main\n"
+            f"assert main(['all', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestArtifactDigests:

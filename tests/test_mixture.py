@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from radonlik import argmax_invariance, check_proportionality, likelihood_curve, mixture
 from radonlik.harness.config import load_config
 from radonlik.harness.experiments import run_mixture
-from radonlik.mixture import (COMPONENT_CATALOG, PointMassMixture, Uniform,
+from radonlik.mixture import (COMPONENT_CATALOG, PointMassMixture, TruncatedGaussian, Uniform,
                               _log_density_curve, atom_weight_family, atom_weight_mixture,
                               grid_mle, mixture_total_mass, simulate)
 
@@ -219,6 +220,60 @@ def _golden_case(name):
     samples = {"draws": draws, "edge": np.append(draws, comp.region[0]),
                "off-atom": draws[draws != atom]}
     return comp, atom, samples
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, signed zeros included; a NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+class _FixedUniforms:
+    """A generator stub whose `uniform` hands back fixed values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def uniform(self, size):
+        assert size == len(self.values)
+        return self.values
+
+
+class TestNormalOracle:
+    """TruncatedGaussian's normal cdf, pdf and ppf come from scipy.special and
+    keep the bits of scipy.stats.norm, tails included."""
+
+    YS = np.concatenate([np.linspace(-40.0, 40.0, 1601), [-1e150, -38.5, -1e-300, 0.0, -0.0,
+                                                          1e-300, 38.5, 1e150, -np.inf, np.inf]])
+    US = np.concatenate([[0.0, 5e-324, 1e-300, 1e-20, 1e-10], np.linspace(0.0, 1.0, 1001)[1:-1],
+                         [1.0 - 1e-10, 1.0 - 2.0 ** -53]])
+    COMPONENTS = [TruncatedGaussian(name="line", region=(-np.inf, np.inf)),
+                  COMPONENT_CATALOG["gaussian-truncated"](),
+                  TruncatedGaussian(name="shifted", region=(-1.0, 4.0), mu=0.5, sigma=2.0),
+                  TruncatedGaussian(name="far-tail", region=(8.0, 9.0), mu=0.0, sigma=1.0)]
+
+    def test_standard_normal_bits(self):
+        comp = self.COMPONENTS[0]
+        ys = np.append(self.YS, np.nan)
+        assert _same_bits(comp.density(ys), norm.pdf(ys))
+        assert _same_bits(comp.cdf(ys), norm.cdf(ys))
+        us = np.append(self.US, 1.0)
+        assert _same_bits(comp.sample(_FixedUniforms(us), len(us)), norm.ppf(us))
+
+    @pytest.mark.parametrize("comp", COMPONENTS, ids=lambda c: c.name)
+    def test_truncated_bits(self, comp):
+        lo, hi = comp.region
+        a = norm.cdf((lo - comp.mu) / comp.sigma)
+        z = norm.cdf((hi - comp.mu) / comp.sigma) - a
+        ys = comp.mu + comp.sigma * self.YS
+        assert _same_bits(comp.density(ys),
+                          norm.pdf((ys - comp.mu) / comp.sigma) / (comp.sigma * z))
+        assert _same_bits(comp.cdf(ys),
+                          np.clip((norm.cdf((ys - comp.mu) / comp.sigma) - a) / z, 0.0, 1.0))
+        draws = comp.sample(_FixedUniforms(self.US), len(self.US))
+        assert _same_bits(draws, comp.mu + comp.sigma * norm.ppf(a + self.US * z))
 
 
 class TestScalarOracle:

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 from scipy.integrate import quad
 
 from radonlik import likelihood_curve, poisson
 from radonlik.harness.config import grid_from_spec, load_config
+from radonlik.harness import experiments
 from radonlik.harness.experiments import _poisson_count_gof, run_poisson
 from radonlik.poisson import (MEASURE_PRODUCT, MEASURE_UNIT_POISSON, IntensityModel,
                               PointPattern, constant_intensity, location_density_mass,
@@ -543,6 +545,80 @@ class _ShiftedOwners:
     @staticmethod
     def searchsorted(a, v, side="left"):
         return np.maximum(np.searchsorted(a, v, side=side) - 1, 0)
+
+
+def _scipy_count_gof(counts, rate):
+    """The count GOF on scipy.stats: poisson.pmf and chisquare, with the same
+    pooling. Returns (statistic, p-value)."""
+    n = len(counts)
+    top = int(counts.max()) + 1
+    observed = np.bincount(counts, minlength=top + 1).astype(float)
+    expected = stats.poisson.pmf(np.arange(top + 1), rate) * n
+    expected[-1] = n - expected[:-1].sum()
+    obs_pool, exp_pool = [], []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            obs_pool.append(acc_o)
+            exp_pool.append(acc_e)
+            acc_o = acc_e = 0.0
+    if acc_e > 0:
+        if exp_pool:
+            obs_pool[-1] += acc_o
+            exp_pool[-1] += acc_e
+        else:
+            obs_pool, exp_pool = [acc_o], [acc_e]
+    return tuple(stats.chisquare(obs_pool, exp_pool))
+
+
+class TestCountGOFOracle:
+    """The count GOF's Poisson pmf, Pearson statistic and chi-square tail come
+    from scipy.special and keep the bits of scipy.stats."""
+
+    RATES = (0.5, 3.0, 12.0, 40.0)
+
+    def _batches(self, rate):
+        rng = np.random.default_rng([77, int(rate * 10)])
+        yield np.repeat(np.arange(61), 3)       # every k from 0 to 60
+        for size in (20, 300, 2000):
+            yield rng.poisson(rate, size)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_statistic_and_p_value_bits(self, rate, monkeypatch):
+        seen = []
+
+        def chdtrc(df, x):
+            seen.append((df, x))
+            return special.chdtrc(df, x)
+
+        monkeypatch.setattr(experiments, "chdtrc", chdtrc)
+        for counts in self._batches(rate):
+            stat, pvalue = _scipy_count_gof(counts, rate)
+            assert _poisson_count_gof(counts, rate) == pvalue
+            assert seen.pop()[1] == stat
+
+    # the two identities the GOF rests on, pinned on the installed scipy
+    @pytest.mark.parametrize("rate", RATES)
+    def test_pmf_bits(self, rate):
+        k = np.arange(61)
+        pmf = np.exp(special.xlogy(k, rate) - special.gammaln(k + 1) - rate)
+        assert np.array_equal(pmf, stats.poisson.pmf(k, rate))
+
+    def test_chi_square_tail_bits(self):
+        x = np.concatenate([[0.0, 1e-300], np.linspace(0.0, 200.0, 2001)[1:], [1e4, np.inf]])
+        for df in range(1, 60):
+            assert np.array_equal(special.chdtrc(df, x), stats.chi2.sf(x, df))
+
+    def test_lost_mass_raises(self):
+        # rate 0 gives a trailing count expected exactly 0 times, which pooling
+        # drops; scipy.stats.chisquare raised on the same totals
+        counts = np.array([0] * 9 + [1])
+        with pytest.raises(ValueError):
+            _scipy_count_gof(counts, 0.0)
+        with pytest.raises(ValueError, match="same total"):
+            _poisson_count_gof(counts, 0.0)
 
 
 class TestThinningCounts:
