@@ -10,8 +10,8 @@ base changes only h; the natural structure is preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,6 +40,8 @@ class ExponentialFamily:
     theta_grid: tuple
     closed_form_logpart: Callable | None = None   # theta -> float, when known
     log_carrier_fn: Callable | None = None        # log h, for products of carriers
+    # omega -> what T and log h read, once per kernel call; set by `iid_family`
+    _prepare: Callable | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_logpart_cache", {})
@@ -47,8 +49,6 @@ class ExponentialFamily:
     def log_carrier(self, omega) -> float:
         if self.log_carrier_fn is not None:
             return self.log_carrier_fn(omega)
-        if isinstance(omega, (float, np.floating)) and math.isnan(omega):
-            raise ValueError("draw is NaN")
         h = self.carrier(omega)
         if h < 0:
             raise ValueError("carrier h must be nonnegative")
@@ -68,8 +68,15 @@ class ExponentialFamily:
 def log_densities(fam: ExponentialFamily, thetas: Sequence, omega) -> np.ndarray:
     """eta(theta) . T(omega) - logpart(theta) + log h(omega) for each theta.
 
-    T(omega) and log h(omega) are taken once for all thetas.
+    T(omega) and log h(omega) are taken once for all thetas, and both read
+    one `fam._prepare(omega)` when the family has it (an i.i.d. extension,
+    which checks each draw). A single draw must not be NaN and, against a
+    counting base, must be one of its atoms.
     """
+    if fam._prepare is not None:
+        omega = fam._prepare(omega)
+    else:
+        _check_draws(fam.base, [omega])
     lh = fam.log_carrier(omega)
     if lh == NEG_INF:
         return np.full(len(thetas), NEG_INF)
@@ -131,9 +138,13 @@ def _with_carrier(fam: ExponentialFamily, name: str, carrier: Callable,
                   base: DominatingMeasure) -> ExponentialFamily:
     """`fam` with a new carrier against a new base. The normalizer is a property
     of the model, not of the base: the copy shares `fam`'s cache and, without
-    a closed form, takes `fam.log_partition` as its own."""
+    a closed form, takes `fam.log_partition` as its own. The new carrier reads
+    raw draws, so a copy of an i.i.d. extension checks each draw of the raw
+    sample against the new base and hands the sample on unchanged."""
     changed = replace(fam, name=name, carrier=carrier, log_carrier_fn=None, base=base)
     object.__setattr__(changed, "_logpart_cache", fam._logpart_cache)
+    if fam._prepare is not None:
+        object.__setattr__(changed, "_prepare", lambda sample: _checked_sample(base, sample))
     if fam.closed_form_logpart is None:
         object.__setattr__(changed, "closed_form_logpart", fam.log_partition)
     return changed
@@ -175,15 +186,38 @@ def change_dominating_measure(fam: ExponentialFamily, new_base: DominatingMeasur
     return _with_carrier(fam, f"{fam.name}@{new_base.id}", new_carrier, new_base)
 
 
-def _distinct_draws(sample, n: int) -> tuple[list, np.ndarray]:
-    """The distinct values of an n-draw sample, and each draw's index among them."""
+def _check_draws(base: DominatingMeasure, values: list) -> None:
+    """Raise on a NaN draw, and on a draw that is not an atom of a counting base
+    (naming the first such draw of `values`)."""
+    if any(v != v for v in values):
+        raise ValueError("draw is NaN")
+    if base.kind == "counting":
+        off = [v for v in values if v not in base.atoms]
+        if off:
+            raise ValueError(f"draw {off[0]!r} is not an atom of the counting base {base.id!r}")
+
+
+def _checked_sample(base: DominatingMeasure, sample):
+    """A raw i.i.d. sample, unchanged, once each of its draws passed `_check_draws`."""
+    _check_draws(base, np.unique(np.asarray(sample, dtype=float)).tolist())
+    return sample
+
+
+class _Draws(NamedTuple):
+    """An i.i.d. sample read once: its distinct values, and each draw's index among them."""
+    values: list
+    inverse: np.ndarray
+
+
+def _distinct_draws(base: DominatingMeasure, sample, n: int) -> _Draws:
+    """The checked distinct values of an n-draw sample against `base`."""
     draws = np.asarray(sample, dtype=float)
     if draws.shape != (n,):
         raise ValueError(f"sample of shape {draws.shape} for an {n}-draw i.i.d. family")
-    if np.isnan(draws).any():
-        raise ValueError("sample contains NaN")
     values, inverse = np.unique(draws, return_inverse=True)
-    return values.tolist(), inverse
+    values = values.tolist()
+    _check_draws(base, values)
+    return _Draws(values, inverse)
 
 
 def _sum_in_draw_order(terms: np.ndarray) -> np.ndarray:
@@ -197,19 +231,23 @@ def iid_family(fam: ExponentialFamily, n: int) -> ExponentialFamily:
     The extension is a density against the n-fold product of `fam.base`;
     it keeps `fam.base` as its base, which stands for that product. Its
     statistic and log carrier call `fam`'s once per distinct draw and add
-    the per-draw terms in draw order.
+    the per-draw terms in draw order. They take a raw sample or its `_Draws`,
+    which `log_densities` makes once per kernel call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
 
+    def draws(sample) -> _Draws:
+        return sample if isinstance(sample, _Draws) else _distinct_draws(fam.base, sample, n)
+
     def stat(sample):
-        values, inverse = _distinct_draws(sample, n)
+        values, inverse = draws(sample)
         per_value = np.array([np.atleast_1d(np.asarray(fam.sufficient_stat(w), dtype=float))
                               for w in values])
         return _sum_in_draw_order(per_value[inverse])
 
     def log_carrier(sample):
-        values, inverse = _distinct_draws(sample, n)
+        values, inverse = draws(sample)
         per_value = np.array([fam.log_carrier(w) for w in values], dtype=float)
         if (per_value == NEG_INF).any():
             return NEG_INF
@@ -219,11 +257,13 @@ def iid_family(fam: ExponentialFamily, n: int) -> ExponentialFamily:
         logpart = lambda theta: n * fam.closed_form_logpart(theta)
     else:
         logpart = lambda theta: n * fam.log_partition(theta)
-    return ExponentialFamily(name=f"{fam.name}-iid{n}", natural_param=fam.natural_param,
-                             sufficient_stat=stat,
-                             carrier=lambda sample: math.exp(log_carrier(sample)),
-                             base=fam.base, theta_grid=fam.theta_grid,
-                             closed_form_logpart=logpart, log_carrier_fn=log_carrier)
+    iid = ExponentialFamily(name=f"{fam.name}-iid{n}", natural_param=fam.natural_param,
+                            sufficient_stat=stat,
+                            carrier=lambda sample: math.exp(log_carrier(sample)),
+                            base=fam.base, theta_grid=fam.theta_grid,
+                            closed_form_logpart=logpart, log_carrier_fn=log_carrier)
+    object.__setattr__(iid, "_prepare", draws)
+    return iid
 
 
 def as_model_family(base_fam: ExponentialFamily,

@@ -22,26 +22,26 @@ MEASURE_PRODUCT = "count-location-product"
 MEASURE_UNIT_POISSON = "unit-rate-poisson"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PointPattern:
     """A realization (N, s_1..s_N) on a bounded box region.
 
     The region is a tuple of per-dimension (lo, hi) intervals, each finite
     with lo < hi. Locations may be given as an (N, d) array or sequence (1-D
-    patterns also as a flat list); they are kept as a tuple of float tuples,
-    and as a read-only (N, d) array for the kernels.
+    patterns also as a flat list). The one store is `points`, a read-only
+    (N, d) float array; `locations` is a tuple of float tuples derived from it
+    on demand. Two patterns are equal when their regions and points are.
     """
 
     region: tuple
-    locations: tuple
+    points: np.ndarray
 
-    def __post_init__(self):
-        region = tuple(tuple(map(float, side)) for side in self.region)
+    def __init__(self, region, locations):
+        region = tuple(tuple(map(float, side)) for side in region)
         for lo, hi in region:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"region side {(lo, hi)} must be finite with lo < hi")
-        object.__setattr__(self, "region", region)
-        pts = np.array(self.locations, dtype=float)
+        pts = np.array(locations, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, len(region) if pts.size == 0 else 1)
         if pts.ndim != 2 or pts.shape[1] != len(region):
@@ -54,12 +54,25 @@ class PointPattern:
             bad = pts[~inside.all(axis=1)][0]
             raise ValueError(f"location {tuple(bad.tolist())} outside region {region}")
         pts.flags.writeable = False
-        object.__setattr__(self, "_points", pts)
-        object.__setattr__(self, "locations", tuple(map(tuple, pts.tolist())))
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other):
+        if not isinstance(other, PointPattern):
+            return NotImplemented
+        return self.region == other.region and np.array_equal(self.points, other.points)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.region, self.points.shape, (self.points + 0.0).tobytes()))
+
+    @property
+    def locations(self) -> tuple:
+        return tuple(map(tuple, self.points.tolist()))
 
     @property
     def count(self) -> int:
-        return len(self.locations)
+        return len(self.points)
 
     @property
     def volume(self) -> float:
@@ -67,13 +80,12 @@ class PointPattern:
 
     def to_json(self) -> str:
         return json.dumps({"region": [list(side) for side in self.region],
-                           "points": [list(p) for p in self.locations]})
+                           "points": self.points.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "PointPattern":
         payload = json.loads(text)
-        return cls(region=tuple(tuple(side) for side in payload["region"]),
-                   locations=tuple(tuple(p) for p in payload["points"]))
+        return cls(region=payload["region"], locations=payload["points"])
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,7 @@ def _log_likelihoods(model: IntensityModel, thetas, pattern: PointPattern,
     as log N rather than N for a sequential sum; a row where the intensity
     vanishes sums to -inf. The theta's start term is added to its row's sum.
     """
-    lam = model.intensity(thetas, pattern._points)
+    lam = model.intensity(thetas, pattern.points)
     with np.errstate(divide="ignore"):
         sums = np.log(lam, out=lam).sum(axis=1)
     if measure_id == MEASURE_PRODUCT:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from radonlik import argmax_invariance, check_proportionality, likelihood_curve
+from radonlik import argmax_invariance, check_proportionality, expfam, likelihood_curve
 from radonlik.expfam import (EXPFAM_CATALOG, DivergentNormalizerError, DominatingMeasure,
                              ExponentialFamily, as_model_family, bernoulli_family,
                              change_dominating_measure, compute_log_partition,
@@ -18,12 +18,13 @@ from radonlik.harness.experiments import _expfam_variants, run_expfam, run_propo
 
 def truncated_poisson(theta_grid, k):
     """Poisson with eta = log(theta), T = x and h = 1/x! cut to 0 above k,
-    against counting on 0..k: no closed-form normalizer."""
+    against counting on 0..k+1, so that k+1 is an atom where h vanishes: no
+    closed-form normalizer."""
     return ExponentialFamily(
         name=f"poisson-trunc{k}", natural_param=lambda th: np.array([math.log(th)]),
         sufficient_stat=lambda x: np.array([float(x)]),
         carrier=lambda x: math.exp(-math.lgamma(x + 1)) if x <= k else 0.0,
-        base=DominatingMeasure.counting(f"counting-0..{k}", tuple(range(k + 1))),
+        base=DominatingMeasure.counting(f"counting-0..{k + 1}", tuple(range(k + 2))),
         theta_grid=tuple(theta_grid))
 
 
@@ -263,6 +264,45 @@ class TestIIDDistinctDraws:
         likelihood_curve(model, "base", sample)
         assert calls == {"stat": distinct, "carrier": distinct}
 
+    def test_sample_read_once_per_kernel_call(self, monkeypatch):
+        """Statistic and log carrier share one `np.unique` of the sample."""
+        fam, sample = self._samples()["poisson"]
+        reads = []
+        distinct_draws = expfam._distinct_draws
+        monkeypatch.setattr(expfam, "_distinct_draws",
+                            lambda *args: reads.append(1) or distinct_draws(*args))
+        iid = iid_family(fam, len(sample))
+        log_densities(iid, iid.theta_grid, sample)
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("name, base, as_array", [
+        ("gaussian", DominatingMeasure.lebesgue("lebesgue-x2", (-40.0, 40.0), scale=2.0), False),
+        ("gaussian", DominatingMeasure.lebesgue("lebesgue-x2", (-40.0, 40.0), scale=2.0), True),
+        ("bernoulli", DominatingMeasure.counting("counting-01-x2", (0, 1), (2.0, 2.0)), False),
+        ("bernoulli", DominatingMeasure.counting("counting-01-x2", (0, 1), (2.0, 2.0)), True),
+    ], ids=["lebesgue-tuple", "lebesgue-array", "counting-tuple", "counting-array"])
+    def test_rebased_iid_carrier_reads_the_raw_sample(self, name, base, as_array):
+        iid = iid_family(EXPFAM_CATALOG[name]((0.3, 0.6)), 3)
+        seen = []
+        rebased = change_dominating_measure(iid, base, lambda s: seen.append(s) or 0.5,
+                                            lambda s: 1.0)
+        sample = (0.0, 1.0, 1.0)
+        given = np.array(sample) if as_array else sample
+        got = log_densities(rebased, iid.theta_grid, given)
+        assert len(seen) == 1 and seen[0] is given
+        want = log_densities(iid, iid.theta_grid, sample) + math.log(0.5)
+        assert got.tolist() == pytest.approx(want.tolist(), abs=1e-12)
+
+    def test_rebased_iid_checks_draws_against_the_new_base(self):
+        iid = iid_family(bernoulli_family((0.3, 0.6)), 3)
+        base = DominatingMeasure.counting("counting-01-x2", (0, 1), (2.0, 2.0))
+        rebased = change_dominating_measure(iid, base, lambda s: 0.5, lambda s: 1.0)
+        with pytest.raises(ValueError, match="draw 2.0 is not an atom of the counting base "
+                                             "'counting-01-x2'"):
+            log_densities(rebased, iid.theta_grid, np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="draw is NaN"):
+            log_densities(rebased, iid.theta_grid, (0.0, math.nan, 1.0))
+
 
 class TestBadSample:
     """A NaN draw or a sample of the wrong length fails where it enters."""
@@ -274,6 +314,26 @@ class TestBadSample:
             likelihood_curve(as_model_family(fam), "base", math.nan)
         with pytest.raises(ValueError, match="NaN"):
             likelihood_curve(as_model_family(iid_family(fam, 3)), "base", (1.0, math.nan, 0.0))
+
+    @pytest.mark.parametrize("name, sample", [
+        ("bernoulli", (0.0, 1.0, 2.0)),
+        ("poisson", (1.0, 0.5, 2.0)),
+        ("poisson", (3.5, 1.0, 1.0)),
+        ("poisson", (2.0, 0.0, -1.0)),
+    ], ids=["bernoulli-2", "poisson-half", "poisson-3.5", "poisson-negative"])
+    def test_draw_off_the_base_atoms_raises(self, name, sample):
+        """Without the atom check the first three gave finite curves (the
+        Bernoulli one with a moved argmax) and the last a bare `math domain
+        error`."""
+        fam = EXPFAM_CATALOG[name]((0.3, 0.6))
+        bad = [x for x in sample if x not in fam.base.atoms][0]
+        message = f"draw {bad!r} is not an atom"
+        for variant in (fam, *(v for _, v in _expfam_variants(fam))):
+            with pytest.raises(ValueError, match=message):
+                likelihood_curve(as_model_family(iid_family(variant, len(sample))), "base",
+                                 sample)
+            with pytest.raises(ValueError, match=message):
+                log_density(variant, 0.3, bad)
 
     @pytest.mark.parametrize("size", [2, 5])
     def test_sample_length_must_be_n(self, size):

@@ -1,10 +1,14 @@
 """Poisson processes: thinning, both likelihood routes, and their gap."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
 
@@ -80,6 +84,87 @@ class TestPointPattern:
         assert flat.locations == ((0.3,), (0.7,))
         empty = PointPattern(region=region, locations=np.empty((0, 2)))
         assert empty.locations == () and empty.count == 0
+
+    def test_points_are_the_only_store(self):
+        """A 2e4-point build from an array costs about one copy of it, so no
+        per-point Python object is kept; the copy is read-only."""
+        array = np.random.default_rng(3).random(20_000)
+        tracemalloc.start()
+        try:
+            pattern = PointPattern(region=((0.0, 1.0),), locations=array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * array.nbytes
+        assert not pattern.points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pattern.points[0, 0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pattern.points = array
+
+
+_REGIONS = {1: ((0.0, 1.0),), 2: ((-1.0, 2.0), (0.0, 1e308))}
+# valid coordinates, mixed with NaN, infinities, signed zero, subnormals, huge
+# values and values outside one or both regions
+_COORDS = st.integers(0, 3).flatmap(lambda k: st.floats(0.0, 1.0) if k else st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e308, -1e308, 1.5, -0.5]))
+
+
+@st.composite
+def _pattern_inputs(draw):
+    """(dimension, locations): nested or flat, tuple or ndarray, sometimes of
+    the wrong width or ragged."""
+    d = draw(st.sampled_from(sorted(_REGIONS)))
+    width = draw(st.sampled_from([d] * 6 + [1, 3]))
+    rows = [tuple(draw(_COORDS) for _ in range(width)) for _ in range(draw(st.integers(0, 5)))]
+    form = draw(st.sampled_from(["nested"] * 3 + ["ndarray"] * 3
+                                + ["flat", "flat-ndarray", "ragged"]))
+    if form == "flat":
+        return d, tuple(x for row in rows for x in row)
+    if form == "ndarray":
+        return d, np.array(rows, dtype=float).reshape(len(rows), width)
+    if form == "flat-ndarray":
+        return d, np.array([x for row in rows for x in row], dtype=float)
+    if form == "ragged" and rows:
+        rows[0] += (0.5,)
+    return d, tuple(rows)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_pattern_inputs())
+def test_point_pattern_holds_exactly_its_valid_input(case):
+    """The constructor raises ValueError exactly when the input is not N
+    points of the region's dimension inside it; otherwise `points` holds the
+    input's bits as (N, d), `locations` is derived from it, and the JSON
+    round trip gives back an equal pattern with the same bits and hash."""
+    d, locations = case
+    region = _REGIONS[d]
+    try:
+        given_array = np.asarray(locations, dtype=float)
+    except ValueError:   # ragged
+        given_array = None
+    valid = given_array is not None and (
+        given_array.ndim == 2 and given_array.shape[1] == d
+        or given_array.ndim == 1 and (d == 1 or given_array.size == 0))
+    if valid:
+        expected = given_array.reshape(-1, d)
+        lo, hi = np.array(region).T
+        valid = bool(((expected >= lo) & (expected <= hi)).all())
+    if not valid:
+        with pytest.raises(ValueError):
+            PointPattern(region=region, locations=locations)
+        return
+    pattern = PointPattern(region=region, locations=locations)
+    assert pattern.points.dtype == np.float64 and pattern.points.shape == expected.shape
+    assert pattern.points.tobytes() == expected.tobytes()
+    assert not pattern.points.flags.writeable
+    assert pattern.locations == tuple(map(tuple, expected.tolist()))
+    assert pattern.count == len(expected)
+    back = PointPattern.from_json(pattern.to_json())
+    assert back == pattern and hash(back) == hash(pattern)
+    assert back.points.tobytes() == pattern.points.tobytes()
+    twin = PointPattern(region=region, locations=pattern.points + 0.0)   # -0.0 becomes 0.0
+    assert twin == pattern and hash(twin) == hash(pattern)
 
 
 class TestProductMeasureRoute:
@@ -473,7 +558,7 @@ class TestLargePatternKernels:
         u = np.finfo(float).eps / 2
         depth = math.ceil(math.log2(pattern.count)) + 15 + 3 + 7 + 4 + 1
         for theta in self.MODEL.theta_grid:
-            logs = list(map(math.log, self.MODEL.intensity((theta,), pattern._points)[0].tolist()))
+            logs = list(map(math.log, self.MODEL.intensity((theta,), pattern.points)[0].tolist()))
             for kernel, start in self._starts(theta, pattern).items():
                 exact = math.fsum([start, *logs])
                 scale = abs(start) + math.fsum(map(abs, logs))
